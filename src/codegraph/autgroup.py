@@ -10,6 +10,7 @@ matrices, which over F_2 are exactly the coordinate permutations.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
@@ -26,7 +27,7 @@ from .fqlinalg import (
     rref,
     vec_to_bits,
 )
-from .grassmann import CodeGraph
+from .grassmann import CodeGraph, backtrack, greedy_order
 
 Matrix = tuple[Vector, ...]  # row tuples
 
@@ -216,7 +217,8 @@ def gl2_cols_stream(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec()
 
 
-def _cols_bits_to_rows(cols: tuple[int, ...], n: int) -> Matrix:
+def cols_bits_to_rows(cols: tuple[int, ...], n: int) -> Matrix:
+    """Row tuples of the matrix whose columns are the given bitmasks."""
     return tuple(tuple((cols[j] >> i) & 1 for j in range(n)) for i in range(n))
 
 
@@ -224,7 +226,7 @@ def matrices_pgl_stream(n: int, q: int) -> Iterator[Matrix]:
     """Invertible matrices modulo scalars, streamed in a fixed order."""
     if q == 2:
         for cols in gl2_cols_stream(n):
-            yield _cols_bits_to_rows(cols, n)
+            yield cols_bits_to_rows(cols, n)
         return
     nonzero = [v for v in itertools.product(range(q), repeat=n) if any(v)]
     monic = [v for v in nonzero if v[next(i for i, c in enumerate(v) if c)] == 1]
@@ -325,73 +327,18 @@ def vertex_permutation(a: GraphAutomorphism, g: CodeGraph) -> tuple[int, ...]:
 # direct graph-automorphism search (independent of any group theory)
 
 
-def _greedy_order(adj: tuple[int, ...]) -> list[int]:
-    """Vertices ordered so each has the most already-placed neighbours;
-    ties go to the smaller id."""
-    nv = len(adj)
-    placed: list[int] = []
-    placed_mask = 0
-    remaining = set(range(nv))
-    while remaining:
-        best = max(remaining, key=lambda v: ((adj[v] & placed_mask).bit_count(), -v))
-        placed.append(best)
-        placed_mask |= 1 << best
-        remaining.discard(best)
-    return placed
-
-
 def graph_automorphisms(g: CodeGraph, collect: bool = False) -> tuple[int, list[tuple[int, ...]]]:
     """Count (and optionally collect) all adjacency-preserving vertex
-    bijections by plain backtracking with forward domain pruning."""
-    adj = g.adj
-    nv = g.nv
-    degrees = [a.bit_count() for a in adj]
-    order = _greedy_order(adj)
-    full = (1 << nv) - 1
-    cand = [0] * nv
-    for v in range(nv):
-        m = 0
-        for c in range(nv):
-            if degrees[c] == degrees[v]:
-                m |= 1 << c
-        cand[v] = m
-    later = [order[d + 1 :] for d in range(nv)]
-    mapping = [0] * nv
+    bijections: induced backtracking of g onto itself, each vertex
+    starting from the vertices of its own degree."""
+    by_degree: dict[int, int] = defaultdict(int)
+    for c, row in enumerate(g.adj):
+        by_degree[row.bit_count()] |= 1 << c
+    domains = [by_degree[row.bit_count()] for row in g.adj]
     count = 0
     perms: list[tuple[int, ...]] = []
-
-    def rec(d: int, used: int) -> None:
-        nonlocal count
-        if d == nv:
-            count += 1
-            if collect:
-                perms.append(tuple(mapping))
-            return
-        v = order[d]
-        m = cand[v] & ~used
-        while m:
-            b = m & -m
-            c = b.bit_length() - 1
-            m ^= b
-            undo: list[tuple[int, int]] = []
-            ok = True
-            for w in later[d]:
-                old = cand[w]
-                new = old & (adj[c] if (adj[v] >> w) & 1 else ~adj[c])
-                if new != old:
-                    if not new & ~(used | b):
-                        ok = False
-                        # no need to undo this one, it was never written
-                    cand[w] = new
-                    undo.append((w, old))
-                    if not ok:
-                        break
-            if ok:
-                mapping[v] = c
-                rec(d + 1, used | b)
-            for w, old in undo:
-                cand[w] = old
-        return
-
-    rec(0, 0)
+    for perm in backtrack(g.adj, g.adj, greedy_order(g.adj), domains, induced=True):
+        count += 1
+        if collect:
+            perms.append(perm)
     return count, perms

@@ -351,14 +351,19 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
 def enumerate_subspaces(n: int, k: int, q: int) -> tuple[Subspace, ...]:
     """All k-dimensional subspaces of F_q^n in a fixed deterministic order.
 
     Reduced echelon bases are generated directly from their pivot-column
     patterns, then sorted lexicographically on the flattened basis read
     row-major.  The order is what gives graphs their stable vertex ids.
+    Positional and keyword calls share one cache entry.
     """
+    return _enumerate_subspaces(n, k, q)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_subspaces(n: int, k: int, q: int) -> tuple[Subspace, ...]:
     check_space(n, q)
     if not 0 <= k <= n:
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -394,10 +399,6 @@ def coordinate_hyperplane(i: int, n: int, q: int = 2) -> Subspace:
 
 # ---------------------------------------------------------------------------
 # text format: one digit-string row per line, blank lines between blocks
-
-
-def format_subspace(x: Subspace) -> str:
-    return x.to_text()
 
 
 def format_subspace_blocks(subs: Iterable[Subspace]) -> str:

@@ -3,16 +3,19 @@
 Vertices are k-dimensional subspaces of F_q^n in the deterministic
 enumeration order; two vertices are joined when their intersection has
 dimension k - 1.  Adjacency is stored as one bitmask row per vertex so
-that neighbourhood intersections during search are word-parallel.
+that neighbourhood intersections during search are word-parallel; the
+one backtracking search over those rows, used for embeddings and for
+automorphisms alike, lives here too.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator, Optional
 
-from .errors import ParameterError
+from .errors import BudgetExceeded, ParameterError
 from .fqlinalg import Subspace, check_space, enumerate_subspaces, rref_modq
 
 KIND_FULL = "FullGrassmann"
@@ -113,9 +116,17 @@ class CodeGraph:
         return out
 
 
-@lru_cache(maxsize=None)
 def build_graph(n: int, k: int, q: int, kind: str = KIND_FULL) -> CodeGraph:
-    """Build the Grassmann graph or its non-degenerate induced subgraph."""
+    """Build the Grassmann graph or its non-degenerate induced subgraph.
+
+    Every call form (default, positional or keyword kind) shares one
+    cache entry, so a graph is built once per process.
+    """
+    return _build_graph(n, k, q, kind)
+
+
+@lru_cache(maxsize=None)
+def _build_graph(n: int, k: int, q: int, kind: str) -> CodeGraph:
     check_space(n, q)
     if not 1 <= k <= n - 1:
         raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
@@ -144,6 +155,106 @@ def build_graph(n: int, k: int, q: int, kind: str = KIND_FULL) -> CodeGraph:
                     adj[j] |= 1 << i
                     edges += 1
     return CodeGraph(n, k, q, kind, vertices, tuple(adj), edges)
+
+
+def greedy_order(adj: tuple[int, ...]) -> list[int]:
+    """Vertices ordered so each has the most already-placed neighbours;
+    ties go to the smaller id."""
+    nv = len(adj)
+    placed: list[int] = []
+    placed_mask = 0
+    remaining = set(range(nv))
+    while remaining:
+        best = max(remaining, key=lambda v: ((adj[v] & placed_mask).bit_count(), -v))
+        placed.append(best)
+        placed_mask |= 1 << best
+        remaining.discard(best)
+    return placed
+
+
+def backtrack(
+    src_adj: tuple[int, ...],
+    tgt_adj: tuple[int, ...],
+    order: list[int],
+    domains: list[int],
+    induced: bool = False,
+    deadline: Optional[float] = None,
+) -> Iterator[tuple[int, ...]]:
+    """Depth-first enumeration of injective adjacency-preserving maps.
+
+    Source vertices are assigned in ``order``; ``domains[v]`` is the
+    bitmask of targets v may start with.  Assigning v to c intersects
+    c's neighbourhood into the domains of v's later neighbours (forward
+    checking), and a branch dies as soon as one of them has no unused
+    candidate left.  With ``induced`` the later non-neighbours of v are
+    also confined to the non-neighbours of c, so non-adjacency is
+    preserved too; without it non-adjacent pairs impose nothing, which
+    is the not-necessarily-induced-subgraph reading.  Maps are yielded
+    as tuples indexed by source vertex, in lexicographic order of the
+    images along ``order``.  Raises BudgetExceeded past ``deadline``
+    (a time.monotonic() value).
+    """
+    nv = len(src_adj)
+    later = [[w for w in order[d + 1 :] if (src_adj[order[d]] >> w) & 1] for d in range(nv)]
+    apart = [
+        [w for w in order[d + 1 :] if not (src_adj[order[d]] >> w) & 1] if induced else []
+        for d in range(nv)
+    ]
+    cand = list(domains)
+    mapping = [0] * nv
+    # frames: [remaining candidates, used-mask before this level, undo list]
+    frames: list[list] = [[cand[order[0]], 0, None]]
+    ticks = 0
+    while frames:
+        fr = frames[-1]
+        if fr[2] is not None:
+            for w, old in fr[2]:
+                cand[w] = old
+            fr[2] = None
+        m = fr[0]
+        if not m:
+            frames.pop()
+            continue
+        if deadline is not None:
+            ticks += 1
+            if not ticks & 0x3FF and time.monotonic() > deadline:
+                raise BudgetExceeded("search stopped at its wall-clock budget")
+        b = m & -m
+        fr[0] = m ^ b
+        d = len(frames) - 1
+        c = b.bit_length() - 1
+        free = ~(fr[1] | b)
+        undo: list[tuple[int, int]] = []
+        fr[2] = undo
+        ok = True
+        adj_c = tgt_adj[c]
+        for w in later[d]:
+            old = cand[w]
+            new = old & adj_c
+            if new != old:
+                cand[w] = new
+                undo.append((w, old))
+                if not new & free:
+                    ok = False
+                    break
+        if ok and apart[d]:
+            adj_c = ~adj_c
+            for w in apart[d]:
+                old = cand[w]
+                new = old & adj_c
+                if new != old:
+                    cand[w] = new
+                    undo.append((w, old))
+                    if not new & free:
+                        ok = False
+                        break
+        if not ok:
+            continue
+        mapping[order[d]] = c
+        if d + 1 == nv:
+            yield tuple(mapping)
+            continue
+        frames.append([cand[order[d + 1]] & free, ~free, None])
 
 
 def connected_components(g: CodeGraph) -> list[set[int]]:

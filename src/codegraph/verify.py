@@ -22,21 +22,19 @@ from typing import Iterator, Optional
 from .errors import BudgetExceeded, Falsified, ParameterError
 from .fqlinalg import (
     Subspace,
+    bits_to_vec,
     enumerate_subspaces,
     from_bits,
     rank_bits,
     rref_bits,
     vec_to_bits,
 )
-from .grassmann import KIND_FULL, KIND_NONDEGENERATE, build_graph
+from .grassmann import KIND_FULL, KIND_NONDEGENERATE, backtrack, build_graph, greedy_order
 from .hmap import abc_partition, h_map, special_frame
 from .autgroup import (
     GraphAutomorphism,
-    _cols_bits_to_rows,
-    _greedy_order,
-    _mat_inv,
-    _mat_transpose,
     apply,
+    cols_bits_to_rows,
     gl2_cols_stream,
     orthocomplement,
 )
@@ -201,7 +199,7 @@ class LemmaContext:
 
         self._perm_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-        self.search_order = _greedy_order(self.code.adj)
+        self.search_order = greedy_order(self.code.adj)
         self.group_order: Optional[int] = None
         self.witnesses: Optional[list[tuple[tuple[int, ...], bool]]] = None
         self.witness_perms: Optional[list[tuple[int, ...]]] = None
@@ -258,7 +256,7 @@ class LemmaContext:
     def witness_automorphism(self, widx: int) -> GraphAutomorphism:
         assert self.witnesses is not None
         cols, dual = self.witnesses[widx]
-        return GraphAutomorphism(self.n, 2, _cols_bits_to_rows(cols, self.n), dual=dual)
+        return GraphAutomorphism(self.n, 2, cols_bits_to_rows(cols, self.n), dual=dual)
 
     def perm_of_cols(self, cols: tuple[int, ...]) -> tuple[int, ...]:
         """Vertex permutation of the full graph induced by a linear map
@@ -314,85 +312,22 @@ def build_context(n: int, with_tables: bool | None = None) -> LemmaContext:
 # search
 
 
-def _embedding_search(
-    src_adj: tuple[int, ...],
-    tgt_adj: tuple[int, ...],
-    order: list[int],
-    first_mask: Optional[int] = None,
-    deadline: Optional[float] = None,
+def _embeddings(
+    ctx: LemmaContext, order: list[int], roots: Optional[int], deadline: Optional[float]
 ) -> Iterator[tuple[int, ...]]:
-    """Depth-first enumeration of injective one-direction-preserving maps.
-
-    Candidates for each vertex are held as target bitmasks; assigning a
-    vertex intersects the neighbourhood of its image into the domains of
-    its later neighbours.  Non-adjacent pairs impose no constraint, which
-    is exactly the not-necessarily-induced-subgraph reading.
-    """
-    nv = len(src_adj)
-    nt = len(tgt_adj)
-    full = (1 << nt) - 1
-    later = [
-        [w for w in order[d + 1 :] if (src_adj[order[d]] >> w) & 1]
-        for d in range(nv)
-    ]
-    cand = [full] * nv
-    mapping = [0] * nv
-    root = cand[order[0]]
-    if first_mask is not None:
-        root &= first_mask
-    # frames: [remaining candidates, used-mask before this level, undo list]
-    frames: list[list] = [[root, 0, None]]
-    ticks = 0
-    while frames:
-        fr = frames[-1]
-        if fr[2] is not None:
-            for w, old in fr[2]:
-                cand[w] = old
-            fr[2] = None
-        m = fr[0]
-        if not m:
-            frames.pop()
-            continue
-        if deadline is not None:
-            ticks += 1
-            if not ticks & 0x3FF and time.monotonic() > deadline:
-                raise BudgetExceeded("embedding search stopped at its wall-clock budget")
-        b = m & -m
-        fr[0] = m ^ b
-        d = len(frames) - 1
-        v = order[d]
-        c = b.bit_length() - 1
-        used = fr[1]
-        undo = []
-        ok = True
-        adj_c = tgt_adj[c]
-        for w in later[d]:
-            old = cand[w]
-            new = old & adj_c
-            if new != old:
-                cand[w] = new
-                undo.append((w, old))
-                if not new & ~(used | b):
-                    ok = False
-                    break
-        fr[2] = undo
-        if not ok:
-            continue
-        mapping[v] = c
-        if d + 1 == nv:
-            yield tuple(mapping)
-            continue
-        new_used = used | b
-        nxt = order[d + 1]
-        frames.append([cand[nxt] & ~new_used, new_used, None])
+    """Image tuples of every embedding whose first vertex in ``order``
+    lands in the bitmask ``roots`` (anywhere when None)."""
+    domains = [(1 << ctx.full.nv) - 1] * ctx.nc
+    if roots is not None:
+        domains[order[0]] &= roots
+    return backtrack(ctx.code.adj, ctx.full.adj, order, domains, deadline=deadline)
 
 
 def _order_for(ctx: LemmaContext, variant: int) -> list[int]:
-    order = _greedy_order(ctx.code.adj)
     if variant:
         # alternative deterministic order for completeness cross-checks
-        order = list(reversed(order))
-    return order
+        return list(reversed(ctx.search_order))
+    return ctx.search_order
 
 
 def enumerate_embeddings(
@@ -412,15 +347,8 @@ def enumerate_embeddings(
     if ctx is None:
         ctx = build_context(n, with_tables=False)
     deadline = time.monotonic() + budget_secs if budget_secs is not None else None
-    order = _order_for(ctx, order_variant)
-    first_mask = None
-    if first_vertices is not None:
-        first_mask = 0
-        for c in first_vertices:
-            first_mask |= 1 << c
-    for images in _embedding_search(
-        ctx.code.adj, ctx.full.adj, order, first_mask, deadline
-    ):
+    roots = None if first_vertices is None else sum(1 << c for c in set(first_vertices))
+    for images in _embeddings(ctx, _order_for(ctx, order_variant), roots, deadline):
         yield EmbeddingMap(n, images)
 
 
@@ -520,11 +448,13 @@ def normalize(ctx: LemmaContext, emb: EmbeddingMap) -> tuple[EmbeddingMap, Graph
     back onto the standard one).
     """
     f2, cols, dualled = _normalize_ids(ctx, emb.images)
-    rows = _cols_bits_to_rows(cols, ctx.n)
     if dualled:
-        pre = GraphAutomorphism(ctx.n, 2, _mat_transpose(_mat_inv(rows, 2)), dual=True)
+        # the linear map L after the orthocomplement is the flagged matrix
+        # L^-T, whose rows are the columns of L^-1
+        inv_cols = _solve_cols(list(cols), [1 << t for t in range(ctx.n)], ctx.n)
+        pre = GraphAutomorphism(ctx.n, 2, tuple(bits_to_vec(c, ctx.n) for c in inv_cols), dual=True)
     else:
-        pre = GraphAutomorphism(ctx.n, 2, rows, dual=False)
+        pre = GraphAutomorphism(ctx.n, 2, cols_bits_to_rows(cols, ctx.n), dual=False)
     return EmbeddingMap(ctx.n, f2), pre
 
 
@@ -726,7 +656,7 @@ def _classify_ids(
         if any(images[v] != moved[v] for v in range(ctx.nc)):
             return "unclassified", None, None
     witness = GraphAutomorphism(
-        ctx.n, 2, _cols_bits_to_rows(inv_cols, ctx.n), dual=dualled
+        ctx.n, 2, cols_bits_to_rows(inv_cols, ctx.n), dual=dualled
     )
     return kind, None, witness
 
@@ -778,13 +708,7 @@ def _run_branches(
     lines: list[str] = []
     complete = True
     try:
-        for images in _embedding_search(
-            ctx.code.adj,
-            ctx.full.adj,
-            order,
-            sum(1 << b for b in branches),
-            deadline,
-        ):
+        for images in _embeddings(ctx, order, sum(1 << b for b in branches), deadline):
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceeded("classification stopped at its wall-clock budget")
             counts["total"] += 1
@@ -822,10 +746,7 @@ def _run_branches(
                 # constructive witnesses were verified inside _classify_ids
             if collect_witness_lines:
                 if widx is not None:
-                    cols, dual = ctx.witnesses[widx]
-                    wtext = GraphAutomorphism(
-                        ctx.n, 2, _cols_bits_to_rows(cols, ctx.n), dual=dual
-                    ).inline_text()
+                    wtext = ctx.witness_automorphism(widx).inline_text()
                 elif witness is not None:
                     wtext = witness.inline_text()
                 else:
@@ -870,8 +791,9 @@ def certify_theorem(
         raise ParameterError("exhaustive certification is supported for n in {4, 5}")
     if n == 5 and budget_secs is None:
         raise ParameterError("the n = 5 search space needs an explicit time budget")
-    t0 = time.monotonic()
     ctx = build_context(n)
+    # the clock covers certification only, not the cached context build
+    t0 = time.monotonic()
     order = _order_for(ctx, order_variant)
     deadline = t0 + budget_secs if budget_secs is not None else None
     branches = list(range(ctx.full.nv))

@@ -24,7 +24,7 @@ from codegraph.fqlinalg import (
     rref,
     standard_basis_vector,
 )
-from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, build_graph, is_adjacent
+from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, build_graph, is_adjacent, iter_edges
 
 
 def random_automorphism(rng: random.Random, n: int, q: int = 2, allow_dual: bool = False) -> GraphAutomorphism:
@@ -141,6 +141,24 @@ def test_direct_search_code_graphs():
     count5, _ = graph_automorphisms(build_graph(5, 2, 2, KIND_NONDEGENERATE))
     assert count4 == 24
     assert count5 == 120
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_direct_search_matches_networkx(n):
+    # an outside oracle: the same permutation set, not just the count
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    g = build_graph(n, 2, 2, KIND_NONDEGENERATE)
+    count, perms = graph_automorphisms(g, collect=True)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.nv))
+    nxg.add_edges_from(iter_edges(g))
+    expected = {
+        tuple(m[v] for v in range(g.nv)) for m in GraphMatcher(nxg, nxg).isomorphisms_iter()
+    }
+    assert count == len(perms) == len(expected)
+    assert set(perms) == expected
 
 
 def test_generated_equals_direct_on_full_graph(ctx4):

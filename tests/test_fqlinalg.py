@@ -224,3 +224,9 @@ def test_text_format_round_trip():
     blocks = format_subspace_blocks(enumerate_subspaces(3, 1, 2))
     parsed = parse_subspace_blocks(blocks)
     assert tuple(parsed) == enumerate_subspaces(3, 1, 2)
+
+
+def test_enumerate_call_forms_share_one_cache_entry():
+    subs = enumerate_subspaces(4, 2, 2)
+    assert enumerate_subspaces(n=4, k=2, q=2) is subs
+    assert enumerate_subspaces(4, k=2, q=2) is subs

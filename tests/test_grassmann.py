@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from codegraph.errors import ParameterError
@@ -11,10 +14,12 @@ from codegraph.grassmann import (
     KIND_FULL,
     KIND_NONDEGENERATE,
     CodeGraph,
+    backtrack,
     build_graph,
     connected_components,
     degenerate_union_count,
     graph_export_text,
+    greedy_order,
     is_adjacent,
     is_nondegenerate,
     iter_edges,
@@ -146,3 +151,69 @@ def test_iter_edges_matches_edge_count():
     edges = list(iter_edges(g))
     assert len(edges) == g.edge_count
     assert all(g.is_edge(i, j) and i < j for i, j in edges)
+
+
+def test_build_graph_call_forms_share_one_cache_entry():
+    g = build_graph(4, 2, 2)
+    assert build_graph(4, 2, 2, KIND_FULL) is g
+    assert build_graph(4, 2, 2, kind=KIND_FULL) is g
+    assert build_graph(n=4, k=2, q=2, kind=KIND_FULL) is g
+    code = build_graph(4, 2, 2, KIND_NONDEGENERATE)
+    assert build_graph(n=4, k=2, q=2, kind=KIND_NONDEGENERATE) is code
+
+
+def random_adj(rng: random.Random, nv: int, p: float) -> tuple[int, ...]:
+    adj = [0] * nv
+    for i, j in itertools.combinations(range(nv), 2):
+        if rng.random() < p:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def brute_force_maps(src, tgt, domains, induced):
+    """Every injective map, by testing each arrangement of targets."""
+    found = set()
+    pairs = list(itertools.combinations(range(len(src)), 2))
+    for images in itertools.permutations(range(len(tgt)), len(src)):
+        if not all((domains[v] >> c) & 1 for v, c in enumerate(images)):
+            continue
+        ok = True
+        for u, w in pairs:
+            s_edge = (src[u] >> w) & 1
+            t_edge = (tgt[images[u]] >> images[w]) & 1
+            if (s_edge and not t_edge) or (induced and t_edge and not s_edge):
+                ok = False
+                break
+        if ok:
+            found.add(images)
+    return found
+
+
+def test_backtrack_matches_brute_force_on_random_graphs():
+    rng = random.Random(2024)
+    for _ in range(40):
+        ns = rng.randint(1, 6)
+        nt = rng.randint(ns, 7)
+        src = random_adj(rng, ns, rng.uniform(0.2, 0.8))
+        tgt = random_adj(rng, nt, rng.uniform(0.2, 0.8))
+        order = list(range(ns))
+        rng.shuffle(order)
+        domains = [(1 << nt) - 1] * ns
+        domains[rng.randrange(ns)] = rng.getrandbits(nt)
+        for induced in (False, True):
+            maps = list(backtrack(src, tgt, order, domains, induced=induced))
+            assert len(set(maps)) == len(maps)
+            assert set(maps) == brute_force_maps(src, tgt, domains, induced)
+            # deterministic: lexicographic in the images along the order
+            assert maps == sorted(maps, key=lambda m: [m[v] for v in order])
+
+
+def test_greedy_order_places_connected_vertices_first():
+    g = build_graph(4, 2, 2, KIND_NONDEGENERATE)
+    order = greedy_order(g.adj)
+    assert sorted(order) == list(range(g.nv))
+    placed = 1 << order[0]
+    for v in order[1:]:
+        assert g.adj[v] & placed  # the code graph is connected
+        placed |= 1 << v

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -115,6 +116,21 @@ def test_enumerate_budget_exhaustion(ctx4):
     with pytest.raises(BudgetExceeded):
         for _ in stream:
             pass
+
+
+def test_wall_ms_covers_certification_only(ctx4, monkeypatch):
+    import codegraph.verify as verify
+
+    real = verify.build_context
+
+    def slow_build_context(*args, **kwargs):
+        time.sleep(0.5)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_context", slow_build_context)
+    cert = certify_theorem(4, budget_secs=0.0)
+    assert cert["complete"] is False
+    assert cert["wall_ms"] < 500
 
 
 def test_normalize_h_is_fixed(ctx4):
