@@ -15,9 +15,10 @@ certificate instead of failing silently.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Optional
+from itertools import combinations, count
+from typing import Callable, Iterator, Optional, TextIO
 
 from .errors import BudgetExceeded, Falsified, ParameterError
 from .fqlinalg import (
@@ -385,9 +386,9 @@ def _common_line(ctx: LemmaContext, vids: Iterator[int]) -> Optional[int]:
 def _solve_cols(src: list[int], dst: list[int], n: int) -> tuple[int, ...]:
     """Column bitmasks of the matrix sending src[j] to dst[j].
 
-    Reduce the rows (src_j | dst_j << n); because the sources span, the
+    Reduce the rows (src_j | dst_j << n).  When the sources span, the
     left block lands on the identity and row t reads off the image of
-    the t-th basis vector.
+    the t-th basis vector; otherwise it cannot, and Falsified is raised.
     """
     red = rref_bits(s | (d << n) for s, d in zip(src, dst))
     if len(red) != n or any((r & ((1 << n) - 1)) != (1 << t) for t, r in enumerate(red)):
@@ -402,8 +403,9 @@ def _normalize_ids(
 
     Raises Falsified when the image of the unique maximal star is
     neither a star nor a legal top, or when the induced frame images
-    fail to span; both would be counterexamples to the cited structure
-    results rather than ordinary data.
+    fail to span (``_solve_cols`` rejects those); both would be
+    counterexamples to the cited structure results rather than ordinary
+    data.
     """
     a_images = [images[v] for v in ctx.all_A_vids]
     common = _common_line(ctx, iter(a_images))
@@ -430,8 +432,6 @@ def _normalize_ids(
             raise Falsified(f"image of the star through axis complement {i} has no unique center")
         g1.append(got)
     src = [ctx.line_bits[l] for l in g1]
-    if rank_bits(src) != ctx.n:
-        raise Falsified("induced frame images do not span the space")
     ones = (1 << ctx.n) - 1
     dst = [ones] + [ones ^ (1 << (i - 1)) for i in range(1, ctx.n)]
     cols = _solve_cols(src, dst, ctx.n)
@@ -693,19 +693,32 @@ def _new_tallies() -> dict:
     return {k: {"pass": 0, "fail": 0} for k in LEMMA_KEYS}
 
 
+def _numbered_writer(fh: TextIO) -> Callable[[str], None]:
+    """Write each line to fh prefixed with its running number."""
+    numbers = count()
+    return lambda line: fh.write(f"{next(numbers)} {line}\n")
+
+
 def _run_branches(
     ctx: LemmaContext,
     order: list[int],
     branches: list[int],
     deadline: Optional[float],
-    collect_witness_lines: bool,
+    emit_line: Optional[Callable[[str], None]],
 ) -> dict:
+    """Classify the embeddings of the given root branches and tally them;
+    ``emit_line`` receives one verdict+witness line per valid embedding."""
     tallies = _new_tallies()
     counts = {"total": 0, "extendable": 0, "exceptional": 0, "unclassified": 0}
     soundness_failures = 0
     witness_failures = 0
     route_mismatches = 0
-    lines: list[str] = []
+    # Invariant-chain reports by normalized tuple.  lemma_chain reads only
+    # ctx tables and emb.images, so equal tuples give equal reports.  A
+    # report is kept only when its endgame matched, i.e. the tuple is
+    # ctx.gid or ctx.h_gid, so at most two are held; any other tuple is a
+    # would-be counterexample and gets the full chain every time.
+    reports: dict[tuple[int, ...], dict] = {}
     complete = True
     try:
         for images in _embeddings(ctx, order, sum(1 << b for b in branches), deadline):
@@ -723,7 +736,11 @@ def _run_branches(
                 tallies["normalize"]["fail"] += 1
             kind_endgame = None
             if norm is not None:
-                report = lemma_chain(ctx, EmbeddingMap(ctx.n, norm[0]))
+                report = reports.get(norm[0])
+                if report is None:
+                    report = lemma_chain(ctx, EmbeddingMap(ctx.n, norm[0]))
+                    if report["endgame_kind"] is not None:
+                        reports[norm[0]] = report
                 kind_endgame = report["endgame_kind"]
                 for name, res in report["checks"].items():
                     tallies[name]["pass" if res["passed"] else "fail"] += 1
@@ -744,14 +761,14 @@ def _run_branches(
                     if any(images[v] != perm[base[v]] for v in range(ctx.nc)):
                         witness_failures += 1
                 # constructive witnesses were verified inside _classify_ids
-            if collect_witness_lines:
+            if emit_line is not None:
                 if widx is not None:
                     wtext = ctx.witness_automorphism(widx).inline_text()
                 elif witness is not None:
                     wtext = witness.inline_text()
                 else:
                     wtext = "-"
-                lines.append(f"{kind} {wtext}")
+                emit_line(f"{kind} {wtext}")
     except BudgetExceeded:
         complete = False
     return {
@@ -760,7 +777,6 @@ def _run_branches(
         "soundness_failures": soundness_failures,
         "witness_failures": witness_failures,
         "route_mismatches": route_mismatches,
-        "witness_lines": lines if collect_witness_lines else None,
         "complete": complete,
     }
 
@@ -772,7 +788,10 @@ def _branch_task(args: tuple) -> dict:
     branch, deadline, collect = args
     ctx = _WORKER["ctx"]
     order = _WORKER["order"]
-    return _run_branches(ctx, order, [branch], deadline, collect)
+    lines: list[str] = []
+    partial = _run_branches(ctx, order, [branch], deadline, lines.append if collect else None)
+    partial["witness_lines"] = lines
+    return partial
 
 
 def certify_theorem(
@@ -785,7 +804,8 @@ def certify_theorem(
     """Classify every embedding at size n and aggregate a certificate.
 
     The certificate is deterministic for complete runs regardless of the
-    worker count; budget-limited runs are marked non-conclusive.
+    worker count; budget-limited runs are marked non-conclusive.  The
+    witness dump is written line by line as embeddings are classified.
     """
     if n not in (4, 5):
         raise ParameterError("exhaustive certification is supported for n in {4, 5}")
@@ -799,31 +819,35 @@ def certify_theorem(
     branches = list(range(ctx.full.nv))
     collect = witness_dump is not None
 
-    partials: list[dict]
+    mp_ctx = None
     if jobs > 1:
         import multiprocessing as mp
 
         try:
             mp_ctx = mp.get_context("fork")
         except ValueError:
-            mp_ctx = None
+            pass
+
+    partials: list[dict] = []
+    dump = open(witness_dump, "w", encoding="utf-8") if collect else nullcontext()
+    with dump as fh:
+        emit_line = _numbered_writer(fh) if collect else None
         if mp_ctx is not None:
             _WORKER["ctx"] = ctx
             _WORKER["order"] = order
             with mp_ctx.Pool(jobs) as pool:
-                partials = list(
-                    pool.imap(_branch_task, [(b, deadline, collect) for b in branches])
-                )
+                # imap keeps branch order, so the dump numbering matches jobs = 1
+                for p in pool.imap(_branch_task, [(b, deadline, collect) for b in branches]):
+                    for line in p.pop("witness_lines"):
+                        emit_line(line)
+                    partials.append(p)
         else:
-            partials = [_run_branches(ctx, order, branches, deadline, collect)]
-    else:
-        partials = [_run_branches(ctx, order, branches, deadline, collect)]
+            partials.append(_run_branches(ctx, order, branches, deadline, emit_line))
 
     tallies = _new_tallies()
     counts = {"total": 0, "extendable": 0, "exceptional": 0, "unclassified": 0}
     soundness_failures = witness_failures = route_mismatches = 0
     complete = True
-    all_lines: list[str] = []
     for p in partials:
         for k in LEMMA_KEYS:
             tallies[k]["pass"] += p["tallies"][k]["pass"]
@@ -834,13 +858,6 @@ def certify_theorem(
         witness_failures += p["witness_failures"]
         route_mismatches += p["route_mismatches"]
         complete = complete and p["complete"]
-        if collect and p["witness_lines"] is not None:
-            all_lines.extend(p["witness_lines"])
-
-    if witness_dump is not None:
-        with open(witness_dump, "w", encoding="utf-8") as fh:
-            for i, line in enumerate(all_lines):
-                fh.write(f"{i} {line}\n")
 
     wall_ms = int((time.monotonic() - t0) * 1000)
     cert = {

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import codegraph.verify as verify
 from codegraph.errors import BudgetExceeded, Falsified, ParameterError
 from codegraph.autgroup import GraphAutomorphism, apply, identity_automorphism
 from codegraph.fqlinalg import rref
@@ -22,6 +23,7 @@ from codegraph.verify import (
     recheck_witness,
     _classify_ids,
     _order_for,
+    _solve_cols,
 )
 
 
@@ -160,6 +162,16 @@ def test_normalize_dual_restriction(ctx4):
     for v in range(ctx4.nc):
         moved = apply(pre, ctx4.full.vertices[emb.images[v]])
         assert ctx4.full.index[moved] == normed.images[v]
+
+
+def test_solve_cols_rejects_sources_that_do_not_span():
+    basis = [1 << t for t in range(4)]
+    images = [0b0011, 0b0010, 0b0100, 0b1000]
+    assert _solve_cols(basis, images, 4) == tuple(images)
+    with pytest.raises(Falsified):
+        _solve_cols([0b0001, 0b0010, 0b0011, 0b1000], basis, 4)  # dependent
+    with pytest.raises(Falsified):
+        _solve_cols(basis[:3], basis[:3], 4)  # one vector short
 
 
 def test_lemma_chain_identity_and_h(ctx4):
@@ -333,3 +345,98 @@ def test_certificate_invariant_across_jobs_and_orders(certificate4):
     other_order = certify_theorem(4, order_variant=1)
     other_order.pop("wall_ms")
     assert other_order == base
+
+
+# -- the invariant-chain memo inside the certification loop -----------------
+
+
+def run_root_branch(ctx):
+    """The certification loop on root branch 0 (2304 embeddings at n = 4)."""
+    return verify._run_branches(ctx, ctx.search_order, [0], None, None)
+
+
+def counting_lemma_chain(monkeypatch, alter=None):
+    calls = []
+
+    def wrapper(ctx, emb):
+        calls.append(emb.images)
+        report = lemma_chain(ctx, emb)
+        return report if alter is None else alter(ctx, emb, report)
+
+    monkeypatch.setattr(verify, "lemma_chain", wrapper)
+    return calls
+
+
+def test_memo_runs_the_chain_once_per_tuple_and_tallies_every_embedding(ctx4, monkeypatch):
+    calls = counting_lemma_chain(monkeypatch)
+    res = run_root_branch(ctx4)
+    assert len(calls) == 2
+    assert sorted(calls) == sorted([ctx4.gid, ctx4.h_gid])
+    total = res["counts"]["total"]
+    assert total == 2304 and res["soundness_failures"] == 0
+    for key in LEMMA_KEYS:
+        assert res["tallies"][key]["pass"] + res["tallies"][key]["fail"] == total
+        assert res["tallies"][key]["fail"] == 0
+
+
+def test_memo_counts_a_cached_failure_once_per_embedding(ctx4, monkeypatch):
+    # fault: the chain rejects the collapse map's endgame and reports the
+    # wrong kind, so the table and endgame routes disagree on every
+    # exceptional embedding; the report is still cached
+    def fail_endgame_for_h(ctx, emb, report):
+        if emb.images != ctx.h_gid:
+            return report
+        checks = dict(report["checks"])
+        checks["endgame"] = {"passed": False, "witness": None}
+        return {**report, "checks": checks, "endgame_kind": "identity"}
+
+    calls = counting_lemma_chain(monkeypatch, fail_endgame_for_h)
+    res = run_root_branch(ctx4)
+    assert len(calls) == 2
+    exceptional = res["counts"]["exceptional"]
+    assert exceptional == 1152
+    assert res["tallies"]["endgame"]["fail"] == exceptional
+    assert res["route_mismatches"] == exceptional
+
+
+def swapped_gid(ctx, images):
+    """One fixed non-frame tuple: the identity with two images swapped."""
+    fp = list(ctx.gid)
+    fp[0], fp[1] = fp[1], fp[0]
+    return tuple(fp)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [lambda ctx, images: images, swapped_gid],
+    ids=["raw-images", "one-repeated-tuple"],
+)
+def test_memo_reruns_the_chain_for_every_would_be_counterexample(ctx4, monkeypatch, fault):
+    identity_cols = tuple(1 << t for t in range(ctx4.n))
+    # fault: normalization hands back tuples that are mostly neither the
+    # identity nor the collapse map
+    monkeypatch.setattr(
+        verify, "_normalize_ids", lambda ctx, images: (fault(ctx, images), identity_cols, False)
+    )
+    calls = counting_lemma_chain(monkeypatch)
+    res = run_root_branch(ctx4)
+    stream = [
+        fault(ctx4, e.images) for e in enumerate_embeddings(4, ctx=ctx4, first_vertices=[0])
+    ]
+    frame_maps = {ctx4.gid, ctx4.h_gid}
+    others = sum(1 for fp in stream if fp not in frame_maps)
+    assert others > 0
+    assert len(calls) == others + len(frame_maps & set(stream))
+    assert res["tallies"]["endgame"]["fail"] == others
+
+
+def test_witness_dump_of_a_complete_run(tmp_path):
+    dump = tmp_path / "witnesses.txt"
+    cert = certify_theorem(4, witness_dump=str(dump))
+    assert cert["complete"] is True
+    lines = [line.split(" ", 2) for line in dump.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == 80640
+    assert [int(parts[0]) for parts in lines] == list(range(80640))
+    verdicts = [parts[1] for parts in lines]
+    assert verdicts.count("extendable") == cert["extendable"]
+    assert verdicts.count("exceptional") == cert["exceptional"]
