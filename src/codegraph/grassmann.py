@@ -15,8 +15,15 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .errors import BudgetExceeded, ParameterError
-from .fqlinalg import Subspace, check_space, enumerate_subspaces, rref_modq
+from .errors import BudgetExceeded, Falsified, ParameterError
+from .fqlinalg import (
+    Subspace,
+    check_space,
+    enumerate_subspaces,
+    gaussian_binomial,
+    rref_bits,
+    rref_modq,
+)
 
 KIND_FULL = "FullGrassmann"
 KIND_NONDEGENERATE = "NonDegenerate"
@@ -135,26 +142,65 @@ def _build_graph(n: int, k: int, q: int, kind: str) -> CodeGraph:
     vertices = enumerate_subspaces(n, k, q)
     if kind == KIND_NONDEGENERATE:
         vertices = tuple(x for x in vertices if is_nondegenerate(x))
-    nv = len(vertices)
-    adj = [0] * nv
-    edges = 0
-    if q == 2:
-        bits = [x.bits for x in vertices]
-        for i in range(nv):
-            bi = bits[i]
-            for j in range(i + 1, nv):
-                if _sum_rank_bits(bi, bits[j], k) == k + 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                    edges += 1
-    else:
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                if is_adjacent(vertices[i], vertices[j]):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                    edges += 1
+    # Proof obligation: distinct k-spaces are adjacent iff they share a
+    # (k-1)-space (then it is their intersection).  So a vertex's row is
+    # the union of the stars of its hyperplanes with the vertex itself
+    # removed, and the induced subgraph takes the stars of its own vertices.
+    coeffs = enumerate_subspaces(k, k - 1, q)
+    h = len(coeffs)
+    star_id: dict[tuple, int] = {}
+    # star ids of vertex i's hyperplanes at [i*h, (i+1)*h), one flat list
+    # of small ints so the temporaries stay small
+    flat = [
+        star_id.setdefault(key, len(star_id))
+        for x in vertices
+        for key in _hyperplane_keys(x, coeffs)
+    ]
+    stars = [0] * len(star_id)
+    for t, s in enumerate(flat):
+        stars[s] |= 1 << (t // h)
+    adj = []
+    for i in range(len(vertices)):
+        row = 0
+        for s in flat[i * h : (i + 1) * h]:
+            row |= stars[s]
+        adj.append(row & ~(1 << i))
+    if kind == KIND_FULL:
+        # every k-space has q * [k,1]_q * [n-k,1]_q neighbours
+        want = q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
+        bad = next((i for i, row in enumerate(adj) if row.bit_count() != want), None)
+        if bad is not None:
+            raise Falsified(
+                f"vertex {bad} of G({n},{k})_{q} has degree {adj[bad].bit_count()}, not {want}"
+            )
+    edges = sum(row.bit_count() for row in adj) // 2
     return CodeGraph(n, k, q, kind, vertices, tuple(adj), edges)
+
+
+def _hyperplane_keys(x: Subspace, coeffs: tuple[Subspace, ...]) -> list[tuple]:
+    """Canonical rows of every (k-1)-subspace of x, one per (k-1)-subspace
+    C of F_q^k: the span of the rows of C·X."""
+    if x.q == 2:
+        keys = []
+        for c in coeffs:
+            rows = []
+            for m in c.bits:
+                r = 0
+                for j, b in enumerate(x.bits):
+                    if (m >> j) & 1:
+                        r ^= b
+                rows.append(r)
+            keys.append(rref_bits(rows))
+        return keys
+    cols = tuple(zip(*x.rows))
+    return [
+        rref_modq(
+            [tuple(sum(a * b for a, b in zip(crow, col)) % x.q for col in cols) for crow in c.rows],
+            x.n,
+            x.q,
+        )
+        for c in coeffs
+    ]
 
 
 def greedy_order(adj: tuple[int, ...]) -> list[int]:

@@ -18,7 +18,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, count
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .errors import BudgetExceeded, Falsified, ParameterError
 from .fqlinalg import (
@@ -104,19 +104,22 @@ class LemmaContext:
             full_index_bits[x.bits] for x in self.code.vertices
         )
 
-        # lines, their ids, and the 3-line mask of every plane
+        # lines, their ids, the 3-line mask of every plane, and the plane
+        # spanned by each pair of lines
         self.lines = enumerate_subspaces(n, 1, 2)
         self.nlines = len(self.lines)
         self.line_bits = tuple(p.bits[0] for p in self.lines)
         self.line_id = {b: i for i, b in enumerate(self.line_bits)}
+        nl = self.nlines
         vmask = []
-        for rows in self.full_bits:
-            r1, r2 = rows
-            vmask.append(
-                (1 << self.line_id[r1])
-                | (1 << self.line_id[r2])
-                | (1 << self.line_id[r1 ^ r2])
-            )
+        # flat nlines x nlines table; two distinct lines span exactly one
+        # plane, so only the diagonal keeps the -1 filler
+        self.plane_of_pair = [-1] * (nl * nl)
+        for vid, (r1, r2) in enumerate(self.full_bits):
+            a, b, c = self.line_id[r1], self.line_id[r2], self.line_id[r1 ^ r2]
+            vmask.append((1 << a) | (1 << b) | (1 << c))
+            for x, y in ((a, b), (a, c), (b, c)):
+                self.plane_of_pair[x * nl + y] = self.plane_of_pair[y * nl + x] = vid
         self.vline_mask = tuple(vmask)
         self.all_lines_mask = (1 << self.nlines) - 1
 
@@ -265,15 +268,38 @@ class LemmaContext:
         cached = self._perm_cache.get(cols)
         if cached is not None:
             return cached
-        out = tuple(
-            self.apply_cols_to_vid(cols, vid) for vid in range(self.full.nv)
-        )
+        out = self._plane_images(cols, range(self.full.nv))
         self._perm_cache[cols] = out
         return out
 
+    def _plane_images(self, cols: tuple[int, ...], vids: Iterable[int]) -> tuple[int, ...]:
+        """Images of the planes ``vids`` under an invertible linear map:
+        the plane spanned by basis rows r1 and r2 goes to the plane that
+        the lines of their images span, read from the line-pair table.
+
+        The 2^n vectors are pushed through ``cols`` once, each from the
+        vector without its lowest bit.  A singular map sends a nonzero
+        vector to 0, which is no line, so the line lookup raises KeyError;
+        otherwise the map is injective on lines and the table's diagonal
+        filler is never read.
+        """
+        img = [0] * (1 << self.n)
+        for v in range(1, 1 << self.n):
+            low = v & -v
+            img[v] = img[v ^ low] ^ cols[low.bit_length() - 1]
+        line_id = self.line_id
+        image_line = [-1] + [line_id[w] for w in img[1:]]
+        pair, nl, rows = self.plane_of_pair, self.nlines, self.full_bits
+        out = []
+        for vid in vids:
+            r1, r2 = rows[vid]
+            out.append(pair[image_line[r1] * nl + image_line[r2]])
+        return tuple(out)
+
     def apply_cols_to_vid(self, cols: tuple[int, ...], vid: int) -> int:
-        index = self.full.index_bits
-        imgs = []
+        """Image of one plane under a linear map; KeyError when the map
+        collapses the plane to a line or to 0."""
+        lids = []
         for r in self.full_bits[vid]:
             w = 0
             m = r
@@ -281,20 +307,25 @@ class LemmaContext:
                 b = m & -m
                 w ^= cols[b.bit_length() - 1]
                 m ^= b
-            imgs.append(w)
-        return index[rref_bits(imgs)]
+            lids.append(self.line_id[w])
+        a, b = lids
+        if a == b:
+            raise KeyError(f"the map collapses plane {vid} to a line")
+        return self.plane_of_pair[a * self.nlines + b]
 
     def map_images(self, cols: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
-        """Apply a linear map to a tuple of vertex ids.
+        """Apply an invertible linear map to a tuple of vertex ids.
 
-        At n = 4 matrices repeat heavily across embeddings, so the full
-        cached permutation pays for itself; at larger sizes they mostly
-        do not, and mapping only the needed ids is the cheaper route.
+        At n = 4 matrices repeat heavily across embeddings, and the group
+        tables already cache the permutation of each one, so the cached
+        permutation is read; at larger sizes matrices mostly do not
+        repeat, so only the needed ids are mapped, through the images of
+        the lines.  KeyError when the map is singular.
         """
         if self.n == 4:
             perm = self.perm_of_cols(cols)
             return tuple(perm[c] for c in images)
-        return tuple(self.apply_cols_to_vid(cols, c) for c in images)
+        return self._plane_images(cols, images)
 
 
 _CTX_CACHE: dict[tuple[int, bool], LemmaContext] = {}

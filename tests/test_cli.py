@@ -44,6 +44,13 @@ def test_graph_json_and_export(tmp_path, capsys):
     assert sidecar.startswith("# 0\n")
 
 
+def test_graph_n8_smoke(capsys):
+    code, out = run_cli(capsys, ["graph", "--n", "8", "--k", "2", "--q", "2", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["vertices"] == 10795 and payload["components"] == 1
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out = run_cli(

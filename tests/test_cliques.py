@@ -11,7 +11,7 @@ from codegraph.cliques import (
     top,
 )
 from codegraph.fqlinalg import enumerate_subspaces, rref, standard_basis_vector
-from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, build_graph
+from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, build_graph, iter_edges
 from codegraph.hmap import p_copoint, p_point, special_frame
 
 
@@ -102,6 +102,19 @@ def test_bron_kerbosch_against_naive_oracle():
             for m in maximal_clique_masks(g.adj)
         }
         assert fast == naive_maximal_cliques(g.adj)
+
+
+@pytest.mark.parametrize("n, kind", [(5, KIND_FULL), (6, KIND_NONDEGENERATE)])
+def test_bron_kerbosch_against_networkx(n, kind):
+    nx = pytest.importorskip("networkx")
+    g = build_graph(n, 2, 2, kind)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.nv))
+    nxg.add_edges_from(iter_edges(g))
+    masks = maximal_clique_masks(g.adj)
+    assert len(set(masks)) == len(masks)
+    fast = {frozenset(i for i in range(g.nv) if (m >> i) & 1) for m in masks}
+    assert fast == {frozenset(c) for c in nx.find_cliques(nxg)}
 
 
 def test_unique_maximal_star():

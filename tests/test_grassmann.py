@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from codegraph.errors import ParameterError
+from codegraph import grassmann
+from codegraph.errors import Falsified, ParameterError
 from codegraph.fqlinalg import (
     enumerate_subspaces,
     gaussian_binomial,
@@ -71,13 +72,34 @@ def test_nondegenerate_count_vs_inclusion_exclusion():
 
 
 def test_adjacency_matches_pairwise_oracle():
-    # the bitmask rows agree with the definition applied pairwise
-    for (n, k, q) in [(4, 2, 2), (5, 2, 2), (4, 2, 3), (5, 3, 2)]:
-        g = build_graph(n, k, q, KIND_NONDEGENERATE)
-        for i in range(g.nv):
-            for j in range(g.nv):
-                expected = i != j and is_adjacent(g.vertices[i], g.vertices[j])
-                assert g.is_edge(i, j) == expected
+    # the star-built rows agree with the rank definition applied pairwise,
+    # including the complete regime (k = 1 and k = n - 1)
+    shapes = [(4, 2, 2), (5, 2, 2), (4, 2, 3), (5, 3, 2), (4, 1, 2), (4, 3, 2), (6, 3, 2)]
+    for (n, k, q), kind in itertools.product(shapes, (KIND_FULL, KIND_NONDEGENERATE)):
+        g = build_graph(n, k, q, kind)
+        expected = [0] * g.nv
+        for i, j in itertools.combinations(range(g.nv), 2):
+            if is_adjacent(g.vertices[i], g.vertices[j]):
+                expected[i] |= 1 << j
+                expected[j] |= 1 << i
+        assert g.adj == tuple(expected)
+        assert g.edge_count == sum(row.bit_count() for row in expected) // 2
+
+
+@pytest.mark.parametrize("kernel", ["rref_bits", "rref_modq"])
+@pytest.mark.parametrize("fault", ["merged", "split"])
+def test_degree_check_catches_broken_hyperplane_keys(monkeypatch, kernel, fault):
+    # merged keys fuse distinct stars (extra edges), split keys break one
+    # star into many (lost edges); the full-graph degree check must refuse both
+    fresh = itertools.count()
+    if fault == "merged":
+        broken = lambda rows, *args: tuple(rows)[:-1]
+    else:
+        broken = lambda rows, *args: (next(fresh),)
+    monkeypatch.setattr(grassmann, kernel, broken)
+    n, k, q = (5, 3, 2) if kernel == "rref_bits" else (4, 2, 3)
+    with pytest.raises(Falsified):
+        grassmann._build_graph.__wrapped__(n, k, q, KIND_FULL)
 
 
 def test_adjacency_symmetric_irreflexive():
@@ -91,7 +113,7 @@ def test_adjacency_symmetric_irreflexive():
 
 def test_degree_formula_full_graphs():
     # degree = q * [k choose k-1]_q * [n-k choose 1]_q, checked directly
-    for (n, k, q) in [(4, 2, 2), (5, 2, 2), (5, 3, 2), (6, 2, 2), (6, 3, 2), (4, 2, 3)]:
+    for (n, k, q) in [(4, 2, 2), (5, 2, 2), (5, 3, 2), (6, 2, 2), (6, 3, 2), (4, 2, 3), (7, 2, 2), (8, 2, 2)]:
         g = build_graph(n, k, q, KIND_FULL)
         want = q * gaussian_binomial(k, k - 1, q) * gaussian_binomial(n - k, 1, q)
         assert all(g.degree(i) == want for i in range(g.nv))

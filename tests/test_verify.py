@@ -6,8 +6,14 @@ import pytest
 
 import codegraph.verify as verify
 from codegraph.errors import BudgetExceeded, Falsified, ParameterError
-from codegraph.autgroup import GraphAutomorphism, apply, identity_automorphism
-from codegraph.fqlinalg import rref
+from codegraph.autgroup import (
+    GraphAutomorphism,
+    apply,
+    cols_bits_to_rows,
+    identity_automorphism,
+    vertex_permutation,
+)
+from codegraph.fqlinalg import bits_to_vec, rank_bits, rref
 from codegraph.hmap import line_support, special_frame
 from codegraph.verify import (
     EmbeddingMap,
@@ -172,6 +178,61 @@ def test_solve_cols_rejects_sources_that_do_not_span():
         _solve_cols([0b0001, 0b0010, 0b0011, 0b1000], basis, 4)  # dependent
     with pytest.raises(Falsified):
         _solve_cols(basis[:3], basis[:3], 4)  # one vector short
+
+
+def push(cols: tuple[int, ...], v: int) -> int:
+    """Image of the packed vector v under the map with these columns."""
+    w = 0
+    for t, c in enumerate(cols):
+        if (v >> t) & 1:
+            w ^= c
+    return w
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_plane_images_match_the_subspace_action(n):
+    # the line-pair table route against autgroup.apply through Subspace
+    ctx = build_context(n, with_tables=False)
+    rng = random.Random(100 + n)
+    every = tuple(range(ctx.full.nv))
+    for _ in range(30):
+        cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
+        while rank_bits(cols) != n:
+            cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
+        want = vertex_permutation(GraphAutomorphism(n, 2, cols_bits_to_rows(cols, n)), ctx.full)
+        assert tuple(ctx.apply_cols_to_vid(cols, v) for v in every) == want
+        assert ctx.map_images(cols, every) == want
+        if n == 4:
+            assert ctx.perm_of_cols(cols) == want
+
+
+@pytest.mark.parametrize(
+    "n, cols",
+    [
+        (4, (0b0001, 0b0010, 0b0100, 0b0111)),  # rank 3
+        (4, (0b0001, 0b0010, 0b0100, 0b0100)),  # repeated column
+        (5, (0b00011, 0b00110, 0b01100, 0b11000, 0b10001)),  # rank 4
+        (5, (0b00001, 0b00010, 0b00100, 0b01000, 0b00010)),  # repeated column
+    ],
+)
+def test_singular_maps_raise_instead_of_returning_a_plane(n, cols):
+    ctx = build_context(n, with_tables=False)
+    kernel = {v for v in range(1, 1 << n) if push(cols, v) == 0}
+    assert kernel
+    with pytest.raises(KeyError):
+        ctx.map_images(cols, ctx.gid)
+    if n == 4:
+        with pytest.raises(KeyError):
+            ctx.perm_of_cols(cols)
+        assert cols not in ctx._perm_cache
+    for vid, (r1, r2) in enumerate(ctx.full_bits):
+        if kernel & {r1, r2, r1 ^ r2}:
+            with pytest.raises(KeyError):
+                ctx.apply_cols_to_vid(cols, vid)
+        else:
+            # a plane that meets no kernel vector still has a true image
+            image = rref([bits_to_vec(push(cols, r), n) for r in (r1, r2)])
+            assert ctx.full.vertices[ctx.apply_cols_to_vid(cols, vid)] == image
 
 
 def test_lemma_chain_identity_and_h(ctx4):
