@@ -7,7 +7,9 @@ produce identical bytes (the theorem certificate's wall_ms field is the
 one documented exception).
 
 Exit codes: 0 success, 1 falsified assertion (a counterexample was
-found), 2 invalid configuration, 3 budget exhausted.
+found), 2 invalid configuration (including an output path that cannot
+be written and a time budget that is not a finite number >= 0), 3
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class RunConfig:
     k: int = 2
     q: int = 2
     format: str = "text"
-    jobs: int = 1
     budget_secs: Optional[float] = None
     out: Optional[str] = None
     nondegenerate: bool = False
@@ -81,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem", help="exhaustively certify the classification")
     common(p, k=False, q=False)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget-secs", type=float, default=None)
     p.add_argument("--witness-dump", help="write one verdict+witness line per embedding")
     return parser
@@ -92,8 +92,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
     for name in vars(ns):
         if name != "command" and hasattr(cfg, name):
             setattr(cfg, name, getattr(ns, name))
-    if cfg.jobs < 1:
-        raise ParameterError("--jobs must be at least 1")
     return cfg
 
 
@@ -229,12 +227,7 @@ def _cmd_aut(cfg: RunConfig) -> tuple[dict, list[str], int]:
 
 
 def _cmd_theorem(cfg: RunConfig) -> tuple[dict, list[str], int]:
-    cert = verify.certify_theorem(
-        cfg.n,
-        budget_secs=cfg.budget_secs,
-        jobs=cfg.jobs,
-        witness_dump=cfg.witness_dump,
-    )
+    cert = verify.certify_theorem(cfg.n, budget_secs=cfg.budget_secs, witness_dump=cfg.witness_dump)
     falsified = (
         cert["unclassified"] > 0
         or cert["soundness_failures"] > 0
@@ -292,7 +285,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _config(ns)
         return run(cfg)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
+        # OSError: an --out, --export or --witness-dump path that cannot be written
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except BudgetExceeded as exc:

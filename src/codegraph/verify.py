@@ -14,6 +14,7 @@ certificate instead of failing silently.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -362,6 +363,17 @@ def _order_for(ctx: LemmaContext, variant: int) -> list[int]:
     return ctx.search_order
 
 
+def _deadline(budget_secs: Optional[float]) -> Optional[float]:
+    """The time.monotonic() value at which a budget runs out; None for no
+    budget.  Only a finite budget >= 0 is accepted: no clock reading ever
+    passes a nan or infinite deadline, so those would run unbounded."""
+    if budget_secs is None:
+        return None
+    if not (math.isfinite(budget_secs) and budget_secs >= 0):
+        raise ParameterError(f"the time budget must be a finite number >= 0, got {budget_secs}")
+    return time.monotonic() + budget_secs
+
+
 def enumerate_embeddings(
     n: int,
     budget_secs: Optional[float] = None,
@@ -378,7 +390,7 @@ def enumerate_embeddings(
         raise ParameterError("sizes beyond 4 need an explicit time budget")
     if ctx is None:
         ctx = build_context(n, with_tables=False)
-    deadline = time.monotonic() + budget_secs if budget_secs is not None else None
+    deadline = _deadline(budget_secs)
     roots = None if first_vertices is None else sum(1 << c for c in set(first_vertices))
     for images in _embeddings(ctx, _order_for(ctx, order_variant), roots, deadline):
         yield EmbeddingMap(n, images)
@@ -720,10 +732,6 @@ def recheck_witness(ctx: LemmaContext, emb: EmbeddingMap) -> bool:
 # the certified run
 
 
-def _new_tallies() -> dict:
-    return {k: {"pass": 0, "fail": 0} for k in LEMMA_KEYS}
-
-
 def _numbered_writer(fh: TextIO) -> Callable[[str], None]:
     """Write each line to fh prefixed with its running number."""
     numbers = count()
@@ -739,7 +747,7 @@ def _run_branches(
 ) -> dict:
     """Classify the embeddings of the given root branches and tally them;
     ``emit_line`` receives one verdict+witness line per valid embedding."""
-    tallies = _new_tallies()
+    tallies = {k: {"pass": 0, "fail": 0} for k in LEMMA_KEYS}
     counts = {"total": 0, "extendable": 0, "exceptional": 0, "unclassified": 0}
     soundness_failures = 0
     witness_failures = 0
@@ -812,31 +820,17 @@ def _run_branches(
     }
 
 
-_WORKER: dict = {}
-
-
-def _branch_task(args: tuple) -> dict:
-    branch, deadline, collect = args
-    ctx = _WORKER["ctx"]
-    order = _WORKER["order"]
-    lines: list[str] = []
-    partial = _run_branches(ctx, order, [branch], deadline, lines.append if collect else None)
-    partial["witness_lines"] = lines
-    return partial
-
-
 def certify_theorem(
     n: int,
     budget_secs: Optional[float] = None,
-    jobs: int = 1,
     order_variant: int = 0,
     witness_dump: Optional[str] = None,
 ) -> dict:
     """Classify every embedding at size n and aggregate a certificate.
 
-    The certificate is deterministic for complete runs regardless of the
-    worker count; budget-limited runs are marked non-conclusive.  The
-    witness dump is written line by line as embeddings are classified.
+    The certificate is deterministic for complete runs; budget-limited
+    runs are marked non-conclusive.  The witness dump is written line
+    by line as embeddings are classified.
     """
     if n not in (4, 5):
         raise ParameterError("exhaustive certification is supported for n in {4, 5}")
@@ -845,52 +839,14 @@ def certify_theorem(
     ctx = build_context(n)
     # the clock covers certification only, not the cached context build
     t0 = time.monotonic()
-    order = _order_for(ctx, order_variant)
-    deadline = t0 + budget_secs if budget_secs is not None else None
-    branches = list(range(ctx.full.nv))
-    collect = witness_dump is not None
-
-    mp_ctx = None
-    if jobs > 1:
-        import multiprocessing as mp
-
-        try:
-            mp_ctx = mp.get_context("fork")
-        except ValueError:
-            pass
-
-    partials: list[dict] = []
-    dump = open(witness_dump, "w", encoding="utf-8") if collect else nullcontext()
+    deadline = _deadline(budget_secs)
+    dump = open(witness_dump, "w", encoding="utf-8") if witness_dump is not None else nullcontext()
     with dump as fh:
-        emit_line = _numbered_writer(fh) if collect else None
-        if mp_ctx is not None:
-            _WORKER["ctx"] = ctx
-            _WORKER["order"] = order
-            with mp_ctx.Pool(jobs) as pool:
-                # imap keeps branch order, so the dump numbering matches jobs = 1
-                for p in pool.imap(_branch_task, [(b, deadline, collect) for b in branches]):
-                    for line in p.pop("witness_lines"):
-                        emit_line(line)
-                    partials.append(p)
-        else:
-            partials.append(_run_branches(ctx, order, branches, deadline, emit_line))
-
-    tallies = _new_tallies()
-    counts = {"total": 0, "extendable": 0, "exceptional": 0, "unclassified": 0}
-    soundness_failures = witness_failures = route_mismatches = 0
-    complete = True
-    for p in partials:
-        for k in LEMMA_KEYS:
-            tallies[k]["pass"] += p["tallies"][k]["pass"]
-            tallies[k]["fail"] += p["tallies"][k]["fail"]
-        for k in counts:
-            counts[k] += p["counts"][k]
-        soundness_failures += p["soundness_failures"]
-        witness_failures += p["witness_failures"]
-        route_mismatches += p["route_mismatches"]
-        complete = complete and p["complete"]
-
-    wall_ms = int((time.monotonic() - t0) * 1000)
+        emit_line = _numbered_writer(fh) if fh is not None else None
+        res = _run_branches(
+            ctx, _order_for(ctx, order_variant), list(range(ctx.full.nv)), deadline, emit_line
+        )
+    counts = res["counts"]
     cert = {
         "n": n,
         "k": 2,
@@ -899,19 +855,16 @@ def certify_theorem(
         "extendable": counts["extendable"],
         "exceptional": counts["exceptional"],
         "unclassified": counts["unclassified"],
-        "lemma_chain": tallies,
-        "soundness_failures": soundness_failures,
-        "witness_failures": witness_failures,
-        "route_mismatches": route_mismatches,
-        "complete": complete,
-        "wall_ms": wall_ms,
+        "lemma_chain": res["tallies"],
+        "soundness_failures": res["soundness_failures"],
+        "witness_failures": res["witness_failures"],
+        "route_mismatches": res["route_mismatches"],
     }
     if ctx.group_order is not None:
         cert["group_order"] = ctx.group_order
         cert["distinct_restrictions"] = len(ctx.restr_index)
         cert["distinct_exceptional_images"] = len(ctx.exc_index)
         cert["exceptional_witness_unique"] = ctx.exc_collisions == 0
-        # keep the mandated tail fields last
-        cert["complete"] = cert.pop("complete")
-        cert["wall_ms"] = cert.pop("wall_ms")
+    cert["complete"] = res["complete"]
+    cert["wall_ms"] = int((time.monotonic() - t0) * 1000)
     return cert

@@ -1,8 +1,10 @@
+import itertools
 import json
+import types
 
 import pytest
 
-from codegraph import cli, hmap
+from codegraph import cli, grassmann, hmap, verify
 from codegraph.fqlinalg import rref
 
 
@@ -96,20 +98,51 @@ def test_invalid_config_exit_2(capsys):
     assert code == 2
     code = cli.main(["graph", "--n", "4", "--k", "0", "--q", "2"])
     assert code == 2
-    code = cli.main(["theorem", "--n", "4", "--jobs", "0"])
-    assert code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["graph", "--n", "4", "--unknown-flag"])
     assert exc.value.code == 2
 
 
-def test_theorem_full_run_exit_0(capsys):
-    code, out = run_cli(capsys, ["theorem", "--n", "4", "--format", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--n", "4", "--out", "{missing}/report.txt"],
+        ["graph", "--n", "4", "--export", "{missing}/g.adj"],
+        ["theorem", "--n", "4", "--budget-secs", "0", "--witness-dump", "{missing}/w.txt"],
+    ],
+    ids=["out", "export", "witness-dump"],
+)
+def test_unwritable_output_path_exit_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    code = cli.main([a.format(missing=missing) for a in argv])
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+def test_budget_that_cannot_end_a_run_exit_2(capsys, budget):
+    code = cli.main(["theorem", "--n", "4", "--budget-secs", budget])
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_theorem_full_run_exit_0(tmp_path, capsys, certificate4):
+    dump = tmp_path / "witnesses.txt"
+    code, out = run_cli(
+        capsys, ["theorem", "--n", "4", "--format", "json", "--witness-dump", str(dump)]
+    )
     assert code == 0
     payload = json.loads(out)
-    assert payload["unclassified"] == 0
-    assert payload["complete"] is True
-    assert payload["embeddings_total"] == 80640
+    assert payload["complete"] is True and payload["embeddings_total"] == 80640
+    # the same certificate, field order included, as the library call
+    expected = {k: v for k, v in certificate4.items() if k != "wall_ms"}
+    payload.pop("wall_ms")
+    assert list(payload) == list(expected) and payload == expected
+    lines = [line.split(" ", 2) for line in dump.read_text(encoding="utf-8").splitlines()]
+    assert [int(parts[0]) for parts in lines] == list(range(80640))
+    verdicts = [parts[1] for parts in lines]
+    for kind in ("extendable", "exceptional", "unclassified"):
+        assert verdicts.count(kind) == payload[kind]
 
 
 def test_theorem_budget_exit_3(capsys):
@@ -190,14 +223,24 @@ def test_theorem_json_deterministic_modulo_wall_ms(capsys):
     assert strip_wall(out1) == strip_wall(out2)
 
 
-def test_witness_dump(tmp_path, capsys):
+def test_witness_dump(tmp_path, capsys, monkeypatch):
+    # a fake clock that advances by one at every reading, so the budget
+    # runs out after a fixed amount of work whatever the host's speed
+    ticks = itertools.count()
+    clock = types.SimpleNamespace(monotonic=lambda: float(next(ticks)))
+    monkeypatch.setattr(verify, "time", clock)
+    monkeypatch.setattr(grassmann, "time", clock)
     dump = tmp_path / "witnesses.txt"
-    code, _ = run_cli(
+    code, out = run_cli(
         capsys,
-        ["theorem", "--n", "4", "--budget-secs", "5", "--witness-dump", str(dump)],
+        ["theorem", "--n", "4", "--budget-secs", "500", "--format", "json",
+         "--witness-dump", str(dump)],
     )
     assert code == 3
-    lines = dump.read_text().splitlines()
-    assert lines
-    first = lines[0].split()
-    assert first[0] == "0" and first[1] in ("extendable", "exceptional")
+    payload = json.loads(out)
+    assert payload["complete"] is False
+    total = payload["embeddings_total"]
+    assert 0 < total < 80640
+    lines = [line.split() for line in dump.read_text().splitlines()]
+    assert [int(parts[0]) for parts in lines] == list(range(total))
+    assert all(parts[1] in ("extendable", "exceptional") for parts in lines)

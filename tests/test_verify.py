@@ -126,6 +126,12 @@ def test_enumerate_budget_exhaustion(ctx4):
             pass
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+def test_budget_that_cannot_end_a_run_is_rejected(budget):
+    with pytest.raises(ParameterError):
+        next(iter(enumerate_embeddings(5, budget_secs=budget)))
+
+
 def test_wall_ms_covers_certification_only(ctx4, monkeypatch):
     import codegraph.verify as verify
 
@@ -397,12 +403,9 @@ def test_frame_equation_before_normalization(ctx4):
             assert got == want
 
 
-def test_certificate_invariant_across_jobs_and_orders(certificate4):
+def test_certificate_invariant_across_orders(certificate4):
     base = dict(certificate4)
     base.pop("wall_ms")
-    with_jobs = certify_theorem(4, jobs=2)
-    with_jobs.pop("wall_ms")
-    assert with_jobs == base
     other_order = certify_theorem(4, order_variant=1)
     other_order.pop("wall_ms")
     assert other_order == base
@@ -489,15 +492,3 @@ def test_memo_reruns_the_chain_for_every_would_be_counterexample(ctx4, monkeypat
     assert others > 0
     assert len(calls) == others + len(frame_maps & set(stream))
     assert res["tallies"]["endgame"]["fail"] == others
-
-
-def test_witness_dump_of_a_complete_run(tmp_path):
-    dump = tmp_path / "witnesses.txt"
-    cert = certify_theorem(4, witness_dump=str(dump))
-    assert cert["complete"] is True
-    lines = [line.split(" ", 2) for line in dump.read_text(encoding="utf-8").splitlines()]
-    assert len(lines) == 80640
-    assert [int(parts[0]) for parts in lines] == list(range(80640))
-    verdicts = [parts[1] for parts in lines]
-    assert verdicts.count("extendable") == cert["extendable"]
-    assert verdicts.count("exceptional") == cert["exceptional"]
