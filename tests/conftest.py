@@ -53,8 +53,16 @@ def ctx4():
 
 
 @pytest.fixture(scope="session")
-def certificate4(ctx4):
-    """The exhaustive n=4 certificate, computed once and shared."""
+def certificate4_with_dump(ctx4, tmp_path_factory):
+    """The exhaustive n=4 certificate and the path of its witness dump,
+    computed in one run and shared."""
     from codegraph.verify import certify_theorem
 
-    return certify_theorem(4)
+    dump = tmp_path_factory.mktemp("certificate4") / "witnesses.txt"
+    return certify_theorem(4, witness_dump=str(dump)), dump
+
+
+@pytest.fixture(scope="session")
+def certificate4(certificate4_with_dump):
+    """The exhaustive n=4 certificate, computed once and shared."""
+    return certificate4_with_dump[0]

@@ -492,3 +492,14 @@ def test_memo_reruns_the_chain_for_every_would_be_counterexample(ctx4, monkeypat
     assert others > 0
     assert len(calls) == others + len(frame_maps & set(stream))
     assert res["tallies"]["endgame"]["fail"] == others
+
+
+def test_witness_dump_of_a_complete_run(certificate4_with_dump):
+    cert, dump = certificate4_with_dump
+    assert cert["complete"] is True
+    lines = [line.split(" ", 2) for line in dump.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == 80640
+    assert [int(parts[0]) for parts in lines] == list(range(80640))
+    verdicts = [parts[1] for parts in lines]
+    assert verdicts.count("extendable") == cert["extendable"]
+    assert verdicts.count("exceptional") == cert["exceptional"]
