@@ -38,6 +38,7 @@ from .autgroup import (
     apply,
     cols_bits_to_rows,
     gl2_cols_stream,
+    order_gl,
     orthocomplement,
 )
 
@@ -87,6 +88,8 @@ class LemmaContext:
 
     Everything an embedding check needs is resolved to integer tables
     here once, so the per-embedding work is plain bitmask arithmetic.
+    ``with_tables`` (default: n == 4) also scans the automorphism group
+    for the certificate's group fields.
     """
 
     def __init__(self, n: int, with_tables: bool | None = None):
@@ -202,66 +205,73 @@ class LemmaContext:
         else:
             self.orth_perm = None
 
+        # the frame targets of normalization (Q, then P^1..P^(n-1)), and
+        # the set bits of each column of the inverse of the matrix D that
+        # has them as columns
+        self.frame_dst = (ones,) + tuple(ones ^ (1 << (i - 1)) for i in range(1, n))
+        dst_inv = _solve_cols(list(self.frame_dst), [1 << t for t in range(n)], n)
+        self.frame_dst_inv_bits = tuple(
+            tuple(j for j in range(n) if (c >> j) & 1) for c in dst_inv
+        )
+
         self._perm_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
         self.search_order = greedy_order(self.code.adj)
-        self.group_order: Optional[int] = None
-        self.witnesses: Optional[list[tuple[tuple[int, ...], bool]]] = None
-        self.witness_perms: Optional[list[tuple[int, ...]]] = None
-        self.restr_index: Optional[dict[tuple[int, ...], int]] = None
-        self.exc_index: Optional[dict[tuple[int, ...], int]] = None
-        self.restr_collisions = 0
-        self.exc_collisions = 0
+        self.group_fields: Optional[dict[str, int | bool]] = None
         if with_tables is None:
             with_tables = n == 4
         if with_tables:
-            self._build_tables()
+            self.group_fields = self._scan_group()
 
-    # -- automorphism tables (materialized group scan, n = 4 only) ----------
+    # -- the certificate's group fields (one pass over Aut G(4,2)) -----------
 
-    def _build_tables(self) -> None:
+    def _scan_group(self) -> dict[str, int | bool]:
+        """Group order, distinct restrictions and distinct collapse
+        composites, from the stabilizers K of gid and K_h of h_gid.
+
+        Proof obligation: the scanned elements, every matrix of
+        ``gl2_cols_stream`` with and without the orthocomplement, form a
+        group.  Then, by orbit-stabilizer, two elements restrict equally
+        iff they differ by an element of K, so there are order / |K|
+        distinct restrictions and order / |K_h| distinct composites; and
+        a restriction equals a composite iff some element sends gid to
+        h_gid.  The stream's count and distinctness are checked here;
+        test_generated_equals_direct_on_full_graph shows the elements are
+        exactly Aut G(4,2).
+        """
         if self.n != 4:
-            raise ParameterError("group tables are materialized only at n = 4")
-        code_ids = range(self.nc)
-        restr: dict[tuple[int, ...], int] = {}
-        exc: dict[tuple[int, ...], int] = {}
-        witnesses: list[tuple[tuple[int, ...], bool]] = []
-        perms: list[tuple[int, ...]] = []
+            raise ParameterError("the group scan runs only at n = 4")
         orth = self.orth_perm
         assert orth is not None
+        gid, h_gid, nc = self.gid, self.h_gid, self.nc
+        both = gid + h_gid
+        matrices = set()
+        order = fix = fix_h = 0
         for cols in gl2_cols_stream(self.n):
-            perm = self.perm_of_cols(cols)
+            matrices.add(cols)
+            img = self._plane_images(cols, both)
             for dual in (False, True):
-                p = tuple(orth[t] for t in perm) if dual else perm
-                widx = len(witnesses)
-                witnesses.append((cols, dual))
-                perms.append(p)
-                key_r = tuple(p[self.gid[v]] for v in code_ids)
-                key_e = tuple(p[self.h_gid[v]] for v in code_ids)
-                if key_r in restr:
-                    self.restr_collisions += 1
-                else:
-                    restr[key_r] = widx
-                if key_e in exc:
-                    self.exc_collisions += 1
-                else:
-                    exc[key_e] = widx
-        overlap = restr.keys() & exc.keys()
-        if overlap:
-            raise Falsified(
-                "an automorphism restriction coincides with a collapse composite; "
-                "the exceptional map would be extendable"
-            )
-        self.group_order = len(witnesses)
-        self.witnesses = witnesses
-        self.witness_perms = perms
-        self.restr_index = restr
-        self.exc_index = exc
-
-    def witness_automorphism(self, widx: int) -> GraphAutomorphism:
-        assert self.witnesses is not None
-        cols, dual = self.witnesses[widx]
-        return GraphAutomorphism(self.n, 2, cols_bits_to_rows(cols, self.n), dual=dual)
+                if dual:
+                    img = tuple(orth[t] for t in img)
+                order += 1
+                restr = img[:nc]
+                if restr == h_gid:
+                    raise Falsified(
+                        "an automorphism restriction coincides with a collapse composite; "
+                        "the exceptional map would be extendable"
+                    )
+                fix += restr == gid
+                fix_h += img[nc:] == h_gid
+        if order != 2 * order_gl(self.n, 2):
+            raise Falsified(f"the group scan saw {order} elements, not 2 |GL(4,2)|")
+        if 2 * len(matrices) != order:
+            raise Falsified("the group scan saw a matrix more than once")
+        return {
+            "group_order": order,
+            "distinct_restrictions": order // fix,
+            "distinct_exceptional_images": order // fix_h,
+            "exceptional_witness_unique": fix_h == 1,
+        }
 
     def perm_of_cols(self, cols: tuple[int, ...]) -> tuple[int, ...]:
         """Vertex permutation of the full graph induced by a linear map
@@ -317,15 +327,14 @@ class LemmaContext:
     def map_images(self, cols: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
         """Apply an invertible linear map to a tuple of vertex ids.
 
-        At n = 4 matrices repeat heavily across embeddings, and the group
-        tables already cache the permutation of each one, so the cached
-        permutation is read; at larger sizes matrices mostly do not
-        repeat, so only the needed ids are mapped, through the images of
-        the lines.  KeyError when the map is singular.
+        At n = 4 matrices repeat heavily across embeddings, so the cached
+        permutation of each one is read; at larger sizes matrices mostly
+        do not repeat, so only the needed ids are mapped, through the
+        images of the lines.  KeyError when the map is singular.
         """
         if self.n == 4:
             perm = self.perm_of_cols(cols)
-            return tuple(perm[c] for c in images)
+            return tuple([perm[c] for c in images])
         return self._plane_images(cols, images)
 
 
@@ -441,8 +450,9 @@ def _solve_cols(src: list[int], dst: list[int], n: int) -> tuple[int, ...]:
 
 def _normalize_ids(
     ctx: LemmaContext, images: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    """Return (normalized images, linear-correction columns, dual flag).
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]:
+    """Return (normalized images, linear-correction columns, columns of
+    its inverse, dual flag).
 
     Raises Falsified when the image of the unique maximal star is
     neither a star nor a legal top, or when the induced frame images
@@ -463,7 +473,7 @@ def _normalize_ids(
         if len(rref_bits(rows)) != 3:
             raise Falsified("image of the maximal star is neither a star nor a top")
         dualled = True
-        f1 = tuple(ctx.orth_perm[c] for c in images)
+        f1 = tuple([ctx.orth_perm[c] for c in images])
         common = _common_line(ctx, (f1[v] for v in ctx.all_A_vids))
         if common is None:
             raise Falsified("orthocomplemented star image is still not a star")
@@ -475,11 +485,18 @@ def _normalize_ids(
             raise Falsified(f"image of the star through axis complement {i} has no unique center")
         g1.append(got)
     src = [ctx.line_bits[l] for l in g1]
-    ones = (1 << ctx.n) - 1
-    dst = [ones] + [ones ^ (1 << (i - 1)) for i in range(1, ctx.n)]
-    cols = _solve_cols(src, dst, ctx.n)
+    cols = _solve_cols(src, ctx.frame_dst, ctx.n)
+    # cols = D S^-1 for the source and target columns S and D, so its
+    # inverse S D^-1 has as column t the XOR of the sources over the bits
+    # of column t of the fixed D^-1
+    inv_cols = []
+    for bits in ctx.frame_dst_inv_bits:
+        w = 0
+        for j in bits:
+            w ^= src[j]
+        inv_cols.append(w)
     f2 = ctx.map_images(cols, f1)
-    return f2, cols, dualled
+    return f2, cols, tuple(inv_cols), dualled
 
 
 def normalize(ctx: LemmaContext, emb: EmbeddingMap) -> tuple[EmbeddingMap, GraphAutomorphism]:
@@ -490,14 +507,13 @@ def normalize(ctx: LemmaContext, emb: EmbeddingMap) -> tuple[EmbeddingMap, Graph
     star went to a top, then the linear map moving the induced frame
     back onto the standard one).
     """
-    f2, cols, dualled = _normalize_ids(ctx, emb.images)
+    f2, cols, inv_cols, dualled = _normalize_ids(ctx, emb.images)
     if dualled:
         # the linear map L after the orthocomplement is the flagged matrix
         # L^-T, whose rows are the columns of L^-1
-        inv_cols = _solve_cols(list(cols), [1 << t for t in range(ctx.n)], ctx.n)
         pre = GraphAutomorphism(ctx.n, 2, tuple(bits_to_vec(c, ctx.n) for c in inv_cols), dual=True)
     else:
-        pre = GraphAutomorphism(ctx.n, 2, cols_bits_to_rows(cols, ctx.n), dual=False)
+        pre = _automorphism(ctx.n, cols, False)
     return EmbeddingMap(ctx.n, f2), pre
 
 
@@ -660,27 +676,27 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
 # classification
 
 
+def _automorphism(n: int, cols: tuple[int, ...], dual: bool) -> GraphAutomorphism:
+    return GraphAutomorphism(n, 2, cols_bits_to_rows(cols, n), dual=dual)
+
+
 def _classify_ids(
     ctx: LemmaContext,
     images: tuple[int, ...],
-    normalized: Optional[tuple[tuple[int, ...], tuple[int, ...], bool]] = None,
-) -> tuple[str, Optional[int], Optional[GraphAutomorphism]]:
-    """(kind, table index or None, constructive witness or None)."""
-    if ctx.restr_index is not None:
-        widx = ctx.restr_index.get(images)
-        if widx is not None:
-            return "extendable", widx, None
-        widx = ctx.exc_index.get(images)
-        if widx is not None:
-            return "exceptional", widx, None
-        return "unclassified", None, None
-    # constructive route: recover the only possible witness from the frame
+    normalized: Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]] = None,
+) -> tuple[str, Optional[tuple[int, ...]], bool]:
+    """(kind, witness columns or None, dual flag).
+
+    The frame fixes the only automorphism that can carry the identity or
+    the collapse map onto ``images``: the inverse of the normalizing map.
+    It is the witness only if it reproduces every image.
+    """
     if normalized is None:
         try:
             normalized = _normalize_ids(ctx, images)
         except Falsified:
-            return "unclassified", None, None
-    fp, cols, dualled = normalized
+            return "unclassified", None, False
+    fp, _, inv_cols, dualled = normalized
     if fp == ctx.gid:
         base = ctx.gid
         kind = "extendable"
@@ -688,29 +704,22 @@ def _classify_ids(
         base = ctx.h_gid
         kind = "exceptional"
     else:
-        return "unclassified", None, None
-    inv_cols = _solve_cols(list(cols), [1 << t for t in range(ctx.n)], ctx.n)
+        return "unclassified", None, False
     moved = ctx.map_images(inv_cols, base)
     if dualled:
-        assert ctx.orth_perm is not None
-        if any(images[v] != ctx.orth_perm[moved[v]] for v in range(ctx.nc)):
-            return "unclassified", None, None
-    else:
-        if any(images[v] != moved[v] for v in range(ctx.nc)):
-            return "unclassified", None, None
-    witness = GraphAutomorphism(
-        ctx.n, 2, cols_bits_to_rows(inv_cols, ctx.n), dual=dualled
-    )
-    return kind, None, witness
+        orth = ctx.orth_perm
+        assert orth is not None
+        moved = tuple([orth[t] for t in moved])
+    if moved != images:
+        return "unclassified", None, False
+    return kind, inv_cols, dualled
 
 
 def classify(ctx: LemmaContext, emb: EmbeddingMap) -> EmbeddingMap:
     """Attach the verdict and witness to an embedding."""
-    kind, widx, witness = _classify_ids(ctx, emb.images)
+    kind, cols, dual = _classify_ids(ctx, emb.images)
     emb.verdict = kind
-    if widx is not None:
-        witness = ctx.witness_automorphism(widx)
-    emb.witness = witness
+    emb.witness = None if cols is None else _automorphism(ctx.n, cols, dual)
     return emb
 
 
@@ -783,9 +792,9 @@ def _run_branches(
                 kind_endgame = report["endgame_kind"]
                 for name, res in report["checks"].items():
                     tallies[name]["pass" if res["passed"] else "fail"] += 1
-            kind, widx, witness = _classify_ids(ctx, images, norm)
+            kind, wcols, dual = _classify_ids(ctx, images, norm)
             counts[kind] += 1
-            # the two routes must agree: table/constructive verdict vs endgame
+            # the two routes must agree: constructive verdict vs endgame
             expected_kind = {
                 "identity": "extendable",
                 "h": "exceptional",
@@ -793,20 +802,11 @@ def _run_branches(
             }[kind_endgame]
             if kind != expected_kind:
                 route_mismatches += 1
-            if kind != "unclassified":
-                if widx is not None:
-                    perm = ctx.witness_perms[widx]
-                    base = ctx.gid if kind == "extendable" else ctx.h_gid
-                    if any(images[v] != perm[base[v]] for v in range(ctx.nc)):
-                        witness_failures += 1
-                # constructive witnesses were verified inside _classify_ids
+            if wcols is None and norm is not None and norm[0] in (ctx.gid, ctx.h_gid):
+                # the frame map matched, but its witness misses some image
+                witness_failures += 1
             if emit_line is not None:
-                if widx is not None:
-                    wtext = ctx.witness_automorphism(widx).inline_text()
-                elif witness is not None:
-                    wtext = witness.inline_text()
-                else:
-                    wtext = "-"
+                wtext = "-" if wcols is None else _automorphism(ctx.n, wcols, dual).inline_text()
                 emit_line(f"{kind} {wtext}")
     except BudgetExceeded:
         complete = False
@@ -860,11 +860,8 @@ def certify_theorem(
         "witness_failures": res["witness_failures"],
         "route_mismatches": res["route_mismatches"],
     }
-    if ctx.group_order is not None:
-        cert["group_order"] = ctx.group_order
-        cert["distinct_restrictions"] = len(ctx.restr_index)
-        cert["distinct_exceptional_images"] = len(ctx.exc_index)
-        cert["exceptional_witness_unique"] = ctx.exc_collisions == 0
+    if ctx.group_fields is not None:
+        cert.update(ctx.group_fields)
     cert["complete"] = res["complete"]
     cert["wall_ms"] = int((time.monotonic() - t0) * 1000)
     return cert

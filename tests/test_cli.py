@@ -223,13 +223,17 @@ def test_theorem_json_deterministic_modulo_wall_ms(capsys):
     assert strip_wall(out1) == strip_wall(out2)
 
 
-def test_witness_dump(tmp_path, capsys, monkeypatch):
-    # a fake clock that advances by one at every reading, so the budget
-    # runs out after a fixed amount of work whatever the host's speed
+def fake_clock(monkeypatch):
+    """A clock that advances by one at every reading, so a budget runs out
+    after a fixed amount of work whatever the host's speed."""
     ticks = itertools.count()
     clock = types.SimpleNamespace(monotonic=lambda: float(next(ticks)))
     monkeypatch.setattr(verify, "time", clock)
     monkeypatch.setattr(grassmann, "time", clock)
+
+
+def test_witness_dump(tmp_path, capsys, monkeypatch):
+    fake_clock(monkeypatch)
     dump = tmp_path / "witnesses.txt"
     code, out = run_cli(
         capsys,
@@ -244,3 +248,21 @@ def test_witness_dump(tmp_path, capsys, monkeypatch):
     lines = [line.split() for line in dump.read_text().splitlines()]
     assert [int(parts[0]) for parts in lines] == list(range(total))
     assert all(parts[1] in ("extendable", "exceptional") for parts in lines)
+
+
+def test_broken_constructive_witness_reaches_exit_1(capsys, monkeypatch):
+    # fault: every inverse the constructive route uses is corrupted, so
+    # no witness reproduces its embedding; the fake clock ends the run
+    real = verify._normalize_ids
+
+    def corrupted(ctx, images):
+        fp, cols, inv_cols, dual = real(ctx, images)
+        return fp, cols, (inv_cols[0] ^ inv_cols[1],) + inv_cols[1:], dual
+
+    monkeypatch.setattr(verify, "_normalize_ids", corrupted)
+    fake_clock(monkeypatch)
+    code, out = run_cli(capsys, ["theorem", "--n", "4", "--budget-secs", "500", "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["embeddings_total"] > 0
+    assert payload["witness_failures"] == payload["unclassified"] == payload["embeddings_total"]

@@ -10,6 +10,7 @@ from codegraph.autgroup import (
     GraphAutomorphism,
     apply,
     cols_bits_to_rows,
+    gl2_cols_stream,
     identity_automorphism,
     vertex_permutation,
 )
@@ -27,7 +28,7 @@ from codegraph.verify import (
     normalize,
     point_map,
     recheck_witness,
-    _classify_ids,
+    _normalize_ids,
     _order_for,
     _solve_cols,
 )
@@ -308,23 +309,79 @@ def test_classify_restriction_recovers_the_automorphism(ctx4):
         assert comp.witness == a
 
 
-def test_h_is_not_any_restriction(ctx4):
-    assert ctx4.h_gid not in ctx4.restr_index
-    assert not ctx4.restr_index.keys() & ctx4.exc_index.keys()
+@pytest.fixture(scope="module")
+def group_images(ctx4):
+    """Every restriction and every collapse composite of Aut G(4,2), one
+    per group element (test_generated_equals_direct_on_full_graph shows
+    these permutations are the whole group)."""
+    restrictions, composites = [], []
+    orth = ctx4.orth_perm
+    for cols in gl2_cols_stream(4):
+        p = ctx4.perm_of_cols(cols)
+        for perm in (p, tuple(orth[t] for t in p)):
+            restrictions.append(tuple(perm[t] for t in ctx4.gid))
+            composites.append(tuple(perm[t] for t in ctx4.h_gid))
+    return restrictions, composites
 
 
-def test_constructive_route_agrees_with_tables(ctx4):
-    ctx_plain = build_context(4, with_tables=False)
-    count = 0
-    for e in itertools.islice(enumerate_embeddings(4, ctx=ctx4), 400):
-        kind_t, widx, _ = _classify_ids(ctx4, e.images)
-        kind_c, _, witness = _classify_ids(ctx_plain, e.images)
-        assert kind_t == kind_c
-        if widx is not None and witness is not None:
-            table_witness = ctx4.witness_automorphism(widx)
-            assert table_witness == witness
-        count += 1
-    assert count == 400
+def test_h_is_not_any_restriction(ctx4, group_images):
+    restrictions, composites = group_images
+    assert ctx4.h_gid not in set(restrictions)
+    assert not set(restrictions) & set(composites)
+
+
+def test_group_scan_rejects_a_collapse_map_that_is_a_restriction(monkeypatch):
+    # fault: the collapse map is replaced by the restriction of a swap
+    ctx = verify.LemmaContext(4, with_tables=False)
+    monkeypatch.setattr(ctx, "h_gid", restriction_images(ctx, swap_automorphism(4, 1, 2)))
+    with pytest.raises(Falsified, match="coincides"):
+        ctx._scan_group()
+
+
+def test_group_fields_match_explicit_sets(ctx4, group_images):
+    restrictions, composites = group_images
+    assert ctx4.group_fields == {
+        "group_order": len(restrictions),
+        "distinct_restrictions": len(set(restrictions)),
+        "distinct_exceptional_images": len(set(composites)),
+        "exceptional_witness_unique": len(set(composites)) == len(composites),
+    }
+    assert ctx4.group_fields["group_order"] == 40320
+
+
+def dropping_one(stream):
+    for i, cols in enumerate(stream):
+        if i != 777:
+            yield cols
+
+
+def repeating_one(stream):
+    first = next(stream)
+    yield first
+    for i, cols in enumerate(stream):
+        yield first if i == 776 else cols
+
+
+@pytest.mark.parametrize("fault", [dropping_one, repeating_one], ids=["drop", "repeat"])
+def test_group_scan_rejects_a_stream_that_is_not_the_group(monkeypatch, fault):
+    # a fresh context, not the build_context cache, so the scan reruns
+    real = verify.gl2_cols_stream
+    monkeypatch.setattr(verify, "gl2_cols_stream", lambda n: fault(real(n)))
+    with pytest.raises(Falsified):
+        verify.LemmaContext(4)
+
+
+def test_constructive_route_recovers_sampled_group_elements(ctx4):
+    # restriction and collapse composite of a seeded sample of the group:
+    # each classifies with that very element as its witness
+    rng = random.Random(7)
+    for cols in rng.sample(list(gl2_cols_stream(4)), 100):
+        for dual in (False, True):
+            a = GraphAutomorphism(4, 2, cols_bits_to_rows(cols, 4), dual=dual)
+            emb = classify(ctx4, EmbeddingMap(4, restriction_images(ctx4, a)))
+            assert emb.verdict == "extendable" and emb.witness == a
+            comp = classify(ctx4, EmbeddingMap(4, composite_images(ctx4, a)))
+            assert comp.verdict == "exceptional" and comp.witness == a
 
 
 def test_certify_small_budget_is_partial():
@@ -344,7 +401,7 @@ def test_certify_rejects_unsupported_n():
 
 def test_n5_constructive_classification():
     ctx = build_context(5, with_tables=False)
-    assert ctx.restr_index is None
+    assert ctx.group_fields is None
     h_emb = classify(ctx, EmbeddingMap(5, ctx.h_gid))
     assert h_emb.verdict == "exceptional"
     assert h_emb.witness.is_identity
@@ -445,7 +502,7 @@ def test_memo_runs_the_chain_once_per_tuple_and_tallies_every_embedding(ctx4, mo
 
 def test_memo_counts_a_cached_failure_once_per_embedding(ctx4, monkeypatch):
     # fault: the chain rejects the collapse map's endgame and reports the
-    # wrong kind, so the table and endgame routes disagree on every
+    # wrong kind, so the constructive and endgame routes disagree on every
     # exceptional embedding; the report is still cached
     def fail_endgame_for_h(ctx, emb, report):
         if emb.images != ctx.h_gid:
@@ -480,7 +537,9 @@ def test_memo_reruns_the_chain_for_every_would_be_counterexample(ctx4, monkeypat
     # fault: normalization hands back tuples that are mostly neither the
     # identity nor the collapse map
     monkeypatch.setattr(
-        verify, "_normalize_ids", lambda ctx, images: (fault(ctx, images), identity_cols, False)
+        verify,
+        "_normalize_ids",
+        lambda ctx, images: (fault(ctx, images), identity_cols, identity_cols, False),
     )
     calls = counting_lemma_chain(monkeypatch)
     res = run_root_branch(ctx4)
@@ -494,6 +553,25 @@ def test_memo_reruns_the_chain_for_every_would_be_counterexample(ctx4, monkeypat
     assert res["tallies"]["endgame"]["fail"] == others
 
 
+def test_witness_failures_count_every_broken_constructive_witness(ctx4, monkeypatch):
+    # fault: for every dual embedding the inverse the route uses gets its
+    # first column changed, so its witness no longer reproduces the images
+    def corrupted(ctx, images):
+        fp, cols, inv_cols, dual = _normalize_ids(ctx, images)
+        if dual:
+            inv_cols = (inv_cols[0] ^ inv_cols[1],) + inv_cols[1:]
+        return fp, cols, inv_cols, dual
+
+    stream = enumerate_embeddings(4, ctx=ctx4, first_vertices=[0])
+    affected = sum(_normalize_ids(ctx4, e.images)[3] for e in stream)
+    monkeypatch.setattr(verify, "_normalize_ids", corrupted)
+    res = run_root_branch(ctx4)
+    assert 0 < affected < res["counts"]["total"]
+    assert res["witness_failures"] == affected
+    assert res["counts"]["unclassified"] == affected
+    assert res["route_mismatches"] == affected
+
+
 def test_witness_dump_of_a_complete_run(certificate4_with_dump):
     cert, dump = certificate4_with_dump
     assert cert["complete"] is True
@@ -503,3 +581,6 @@ def test_witness_dump_of_a_complete_run(certificate4_with_dump):
     verdicts = [parts[1] for parts in lines]
     assert verdicts.count("extendable") == cert["extendable"]
     assert verdicts.count("exceptional") == cert["exceptional"]
+    # every group element is the witness of exactly one line of each kind
+    for kind in ("extendable", "exceptional"):
+        assert len({parts[2] for parts in lines if parts[1] == kind}) == 40320
