@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial
 from typing import Callable, Iterator
 
@@ -20,12 +19,11 @@ from .errors import ParameterError
 from .fqlinalg import (
     Subspace,
     Vector,
-    bits_to_vec,
     check_space,
     full_space,
     nullspace,
     rref,
-    vec_to_bits,
+    rref_modq,
 )
 from .grassmann import CodeGraph, backtrack, greedy_order
 
@@ -49,21 +47,14 @@ def _identity(n: int) -> Matrix:
 
 
 def _mat_inv(a: Matrix, q: int) -> Matrix:
-    """Gauss-Jordan inverse; raises on singular input."""
+    """Inverse read off the reduced form of [A | I]; raises on singular
+    input, which is exactly when the left block does not reduce to I."""
     n = len(a)
-    work = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise ParameterError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = pow(work[col][col], q - 2, q)
-        work[col] = [(x * inv) % q for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                c = work[r][col]
-                work[r] = [(x - c * y) % q for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    ident = _identity(n)
+    red = rref_modq([tuple(row) + e for row, e in zip(a, ident)], 2 * n, q)
+    if tuple(row[:n] for row in red) != ident:
+        raise ParameterError("matrix is singular")
+    return tuple(row[n:] for row in red)
 
 
 def _mat_transpose(a: Matrix) -> Matrix:
@@ -97,11 +88,6 @@ class GraphAutomorphism:
         _mat_inv(self.rows, self.q)  # raises if singular
         object.__setattr__(self, "rows", _scalar_normalize(self.rows, self.q))
 
-    @cached_property
-    def cols_bits(self) -> tuple[int, ...]:
-        """Column bitmasks for the q = 2 fast path."""
-        return tuple(vec_to_bits(col) for col in zip(*self.rows))
-
     @property
     def is_identity(self) -> bool:
         return not self.dual and self.rows == _identity(self.n)
@@ -112,9 +98,14 @@ class GraphAutomorphism:
         return "\n".join(lines)
 
     def inline_text(self) -> str:
-        return ",".join("".join(str(c) for c in row) for row in self.rows) + (
-            " dual=1" if self.dual else " dual=0"
-        )
+        return matrix_inline_text(self.rows, self.dual)
+
+
+def matrix_inline_text(rows: Matrix, dual: bool) -> str:
+    """One-line form of a matrix and dual flag, as in witness dumps."""
+    return ",".join("".join(str(c) for c in row) for row in rows) + (
+        " dual=1" if dual else " dual=0"
+    )
 
 
 def automorphism_from_text(text: str, q: int = 2) -> GraphAutomorphism:
@@ -143,20 +134,7 @@ def apply(a: GraphAutomorphism, x: Subspace) -> Subspace:
         raise ParameterError("automorphism and subspace live in different spaces")
     if a.dual and x.n != 2 * x.k:
         raise ParameterError("dual flag needs ambient dimension twice the subspace dimension")
-    if x.q == 2:
-        cols = a.cols_bits
-        imgs = []
-        for row in x.bits:
-            w = 0
-            m = row
-            while m:
-                b = m & -m
-                w ^= cols[b.bit_length() - 1]
-                m ^= b
-            imgs.append(bits_to_vec(w, x.n))
-        image = rref(imgs, x.n, 2)
-    else:
-        image = rref([_mat_vec(a.rows, v, x.q) for v in x.rows], x.n, x.q)
+    image = rref([_mat_vec(a.rows, v, x.q) for v in x.rows], x.n, x.q)
     return orthocomplement(image) if a.dual else image
 
 
@@ -231,22 +209,12 @@ def matrices_pgl_stream(n: int, q: int) -> Iterator[Matrix]:
     nonzero = [v for v in itertools.product(range(q), repeat=n) if any(v)]
     monic = [v for v in nonzero if v[next(i for i, c in enumerate(v) if c)] == 1]
 
-    def combos(rows: list[Vector]) -> set[Vector]:
-        span = set()
-        for coeffs in itertools.product(range(q), repeat=len(rows)):
-            acc = [0] * n
-            for c, r in zip(coeffs, rows):
-                if c:
-                    acc = [(x + c * y) % q for x, y in zip(acc, r)]
-            span.add(tuple(acc))
-        return span
-
     def rec(rows: list[Vector]) -> Iterator[Matrix]:
         if len(rows) == n:
             yield tuple(rows)
             return
         pool = monic if not rows else nonzero
-        span = combos(rows)
+        span = set(rref(rows, n, q).vectors())
         for v in pool:
             if v not in span:
                 yield from rec(rows + [v])

@@ -8,8 +8,9 @@ one documented exception).
 
 Exit codes: 0 success, 1 falsified assertion (a counterexample was
 found), 2 invalid configuration (including an output path that cannot
-be written and a time budget that is not a finite number >= 0), 3
-budget exhausted.
+be written, a time budget that is not a finite number >= 0 and an
+`aut --direct` outside 1 < k < n-1 or past the listing cap), 3 budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import autgroup, cliques, fqlinalg, grassmann, hmap, verify
-from .errors import BudgetExceeded, Falsified, ParameterError
+from .errors import Falsified, ParameterError
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -211,6 +212,14 @@ def _cmd_aut(cfg: RunConfig) -> tuple[dict, list[str], int]:
     ]
     code = EXIT_OK
     if cfg.direct:
+        # the generated groups are Aut only for 1 < k < n-1, and the
+        # searches list every element one by one
+        if not 1 < cfg.k < cfg.n - 1:
+            raise ParameterError(f"--direct needs 1 < k < n-1, got k={cfg.k}, n={cfg.n}")
+        if gg.order > fqlinalg.MAX_LISTING:
+            raise ParameterError(
+                f"--direct would list {gg.order} automorphisms, past the cap of {fqlinalg.MAX_LISTING}"
+            )
         gfull = grassmann.build_graph(cfg.n, cfg.k, cfg.q, grassmann.KIND_FULL)
         gnd = grassmann.build_graph(cfg.n, cfg.k, cfg.q, grassmann.KIND_NONDEGENERATE)
         direct_full, _ = autgroup.graph_automorphisms(gfull)
@@ -289,9 +298,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         # OSError: an --out, --export or --witness-dump path that cannot be written
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except Falsified as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED

@@ -323,10 +323,7 @@ def intersect(x: Subspace, y: Subspace) -> Subspace:
 
 def nullspace(rows: Iterable[Sequence[int]], n: int, q: int = 2) -> Subspace:
     """Right kernel {v : R v = 0} of the row matrix R."""
-    red = rref_modq(rows, n, q) if q != 2 else None
-    if q == 2:
-        red_bits = rref_bits(vec_to_bits(make_vector(v, 2)) for v in rows)
-        red = tuple(bits_to_vec(b, n) for b in red_bits)
+    red = rref(rows, n, q).rows
     pivots = [next(j for j, c in enumerate(r) if c) for r in red]
     free = [j for j in range(n) if j not in pivots]
     basis = []

@@ -21,6 +21,7 @@ from .fqlinalg import (
     check_space,
     enumerate_subspaces,
     gaussian_binomial,
+    rank_bits,
     rref_bits,
     rref_modq,
 )
@@ -45,31 +46,9 @@ def is_adjacent(x: Subspace, y: Subspace) -> bool:
         raise ValueError("adjacency needs equal ambient space and dimension")
     k = x.k
     if x.q == 2:
-        return _sum_rank_bits(x.bits, y.bits, k) == k + 1
+        return rank_bits(x.bits + y.bits) == k + 1
     rank = len(rref_modq(x.rows + y.rows, x.n, x.q))
     return rank == k + 1
-
-
-def _sum_rank_bits(xb: tuple[int, ...], yb: tuple[int, ...], k: int) -> int:
-    """Rank of the stacked rows, stopping early past k + 1.
-
-    Rows are keyed by their lowest set bit (the pivot of canonical rows),
-    so each reduction strictly raises the candidate's lowest bit.
-    """
-    pivots = {(b & -b).bit_length() - 1: b for b in xb}
-    rank = k
-    for r in yb:
-        while r:
-            p = (r & -r).bit_length() - 1
-            b = pivots.get(p)
-            if b is None:
-                pivots[p] = r
-                rank += 1
-                if rank > k + 1:
-                    return rank
-                break
-            r ^= b
-    return rank
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import Falsified, ParameterError
-from .fqlinalg import Subspace, check_space, rref, subspace_sum, intersect
+from .fqlinalg import Subspace, check_space, enumerate_subspaces, intersect, rref, subspace_sum
 from .grassmann import (
     KIND_NONDEGENERATE,
     CodeGraph,
@@ -285,9 +285,6 @@ def verify_h(n: int) -> dict:
 
 def _check_morphism(n: int) -> tuple[bool, dict | None]:
     """Line-to-line property plus a non-injectivity witness."""
-    from .fqlinalg import enumerate_subspaces
-
-    frame = special_frame(n)
     point_images = {
         p: projective_morphism(p) for p in enumerate_subspaces(n, 1, 2)
     }

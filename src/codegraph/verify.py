@@ -38,6 +38,7 @@ from .autgroup import (
     apply,
     cols_bits_to_rows,
     gl2_cols_stream,
+    matrix_inline_text,
     order_gl,
     orthocomplement,
 )
@@ -306,23 +307,6 @@ class LemmaContext:
             r1, r2 = rows[vid]
             out.append(pair[image_line[r1] * nl + image_line[r2]])
         return tuple(out)
-
-    def apply_cols_to_vid(self, cols: tuple[int, ...], vid: int) -> int:
-        """Image of one plane under a linear map; KeyError when the map
-        collapses the plane to a line or to 0."""
-        lids = []
-        for r in self.full_bits[vid]:
-            w = 0
-            m = r
-            while m:
-                b = m & -m
-                w ^= cols[b.bit_length() - 1]
-                m ^= b
-            lids.append(self.line_id[w])
-        a, b = lids
-        if a == b:
-            raise KeyError(f"the map collapses plane {vid} to a line")
-        return self.plane_of_pair[a * self.nlines + b]
 
     def map_images(self, cols: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
         """Apply an invertible linear map to a tuple of vertex ids.
@@ -806,7 +790,8 @@ def _run_branches(
                 # the frame map matched, but its witness misses some image
                 witness_failures += 1
             if emit_line is not None:
-                wtext = "-" if wcols is None else _automorphism(ctx.n, wcols, dual).inline_text()
+                # wcols already reproduced every image, so it is invertible
+                wtext = "-" if wcols is None else matrix_inline_text(cols_bits_to_rows(wcols, ctx.n), dual)
                 emit_line(f"{kind} {wtext}")
     except BudgetExceeded:
         complete = False

@@ -5,6 +5,8 @@ import pytest
 from codegraph.errors import ParameterError
 from codegraph.autgroup import (
     GraphAutomorphism,
+    _mat_inv,
+    _mat_mul,
     apply,
     automorphism_from_text,
     code_graph_aut_group,
@@ -14,13 +16,16 @@ from codegraph.autgroup import (
     grassmann_aut_group,
     identity_automorphism,
     inverse,
+    matrices_pgl_stream,
     order_gl,
+    order_pgl,
     orthocomplement,
     vertex_permutation,
 )
 from codegraph.fqlinalg import (
     coordinate_hyperplane,
     enumerate_subspaces,
+    nullspace,
     rref,
     standard_basis_vector,
 )
@@ -100,6 +105,52 @@ def test_compose_and_inverse_action_property():
             assert apply(ainv, apply(a, x)) == x
             cases += 1
     assert cases >= 700
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_matrix_inverse_at_odd_q(q):
+    rng = random.Random(60 + q)
+    ident = identity_automorphism(4, q).rows
+    singular = 0
+    for _ in range(80):
+        a = tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(4))
+        try:
+            ainv = _mat_inv(a, q)
+        except ParameterError:
+            singular += 1
+            assert nullspace(a, 4, q).k > 0  # a kernel vector confirms the verdict
+            continue
+        assert _mat_mul(a, ainv, q) == ident == _mat_mul(ainv, a, q)
+    assert singular > 0
+    with pytest.raises(ParameterError):
+        _mat_inv(((1, 2, 0, 0), (2, 4 % q, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), q)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_compose_and_inverse_at_odd_q(q):
+    rng = random.Random(70 + q)
+    planes = enumerate_subspaces(4, 2, q)
+    for _ in range(40):
+        a = random_automorphism(rng, 4, q, allow_dual=True)
+        b = random_automorphism(rng, 4, q, allow_dual=True)
+        c = compose(a, b)
+        assert c.dual == (a.dual ^ b.dual)
+        ainv = inverse(a)
+        assert compose(a, ainv).is_identity and compose(ainv, a).is_identity
+        for x in rng.sample(planes, 5):
+            assert apply(a, apply(b, x)) == apply(c, x)
+            assert apply(ainv, apply(a, x)) == x
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (3, 3), (2, 5)])
+def test_pgl_stream_lists_each_projective_class_once(n, q):
+    mats = list(matrices_pgl_stream(n, q))
+    assert len(mats) == order_pgl(n, q)
+    classes = set()
+    for m in mats:
+        _mat_inv(m, q)  # raises if singular
+        classes.add(frozenset(tuple(tuple(c * s % q for c in row) for row in m) for s in range(1, q)))
+    assert len(classes) == len(mats)
 
 
 def test_action_equality_matches_structural_equality():

@@ -93,6 +93,19 @@ def test_aut_command(capsys):
     assert payload["code_graph_aut_order"] == 24
 
 
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (5, 2)])
+def test_aut_direct_outside_its_scope_exit_2(capsys, monkeypatch, n, k):
+    # (3,1) and (4,1) lie outside 1 < k < n-1, where the generated group
+    # is not Aut; (5,2) would list 9,999,360 automorphisms
+    def no_search(g, collect=False):
+        raise AssertionError("the direct search must not start")
+
+    monkeypatch.setattr(cli.autgroup, "graph_automorphisms", no_search)
+    code = cli.main(["aut", "--n", str(n), "--k", str(k), "--direct"])
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
 def test_invalid_config_exit_2(capsys):
     code = cli.main(["enum", "--n", "3", "--k", "2", "--q", "9"])
     assert code == 2

@@ -215,6 +215,19 @@ def test_nullspace_is_orthogonal_complement_dimension():
             assert sum(a * b for a, b in zip(x.rows[0], v)) % 2 == 0
 
 
+def test_nullspace_at_q3_is_the_orthogonal_kernel():
+    rng = random.Random(7)
+    for trial in range(60):
+        n = rng.randrange(2, 7)
+        k = rng.randrange(1, n)
+        x = random_subspace(rng, n, k, q=3)
+        ns = nullspace(x.rows, n, 3)
+        assert ns.q == 3 and ns.k == n - k
+        for v in ns.rows:
+            for r in x.rows:
+                assert sum(a * b for a, b in zip(r, v)) % 3 == 0
+
+
 def test_text_format_round_trip():
     s = rref([(1, 1, 1, 1), (0, 1, 1, 1)])
     assert s.to_text() == "1000\n0111"

@@ -1,0 +1,48 @@
+"""Module layout rules for the package source.
+
+No module imports a private (underscore-prefixed) name from another
+module of the package: a name another module needs is public.
+"""
+
+import ast
+from pathlib import Path
+
+import codegraph
+
+SRC = Path(codegraph.__file__).resolve().parent
+
+
+def private_imports(path: Path) -> list[str]:
+    """``module: name`` for every private name the file imports from
+    another codegraph module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "codegraph":
+            continue
+        found.extend(
+            f"{path.name}: {module}.{alias.name}"
+            for alias in node.names
+            if alias.name.startswith("_")
+        )
+    return found
+
+
+def test_no_module_imports_a_private_name_from_another():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9
+    bad = [hit for path in modules for hit in private_imports(path)]
+    assert bad == []
+
+
+def test_the_rule_sees_relative_and_absolute_private_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "from .verify import _solve_cols, build_context\n"
+        "from codegraph.autgroup import _mat_inv\n"
+        "from os.path import _get_sep\n"
+    )
+    assert private_imports(probe) == ["probe.py: verify._solve_cols", "probe.py: codegraph.autgroup._mat_inv"]
