@@ -11,7 +11,7 @@ without enumerating anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import ParameterError
 from . import fqlinalg
@@ -145,9 +145,23 @@ def classify_clique(g: CodeGraph, vids: frozenset[int]) -> CliqueClass:
     Star and top are recorded only when the clique equals the complete
     intersection of the candidate family with g's vertex set; partial
     containment stays "neither".
+
+    The families are compared with the clique through its common
+    neighbourhood instead of a scan of every vertex.  Every member
+    contains ``center``, the members' intersection, and lies in
+    ``roof``, the members' sum, so vids is a subset of the family.  Two
+    distinct k-spaces through one (k-1)-space meet in exactly that
+    (k-1)-space, and two distinct k-spaces inside one (k+1)-space meet
+    in a (k-1)-space, so the members of a star family, and those of a
+    top family, are pairwise adjacent in G(n,k)_q and in every induced
+    subgraph, at every q and k.  Hence family minus vids lies in
+    ``outside``, the common neighbours of vids, and family == vids
+    exactly when no vertex of ``outside`` is in the family.  For a
+    maximal clique ``outside`` is empty and no containment is tested.
     """
     members = [g.vertices[v] for v in sorted(vids)]
     k = g.k
+    outside = [g.vertices[v] for v in _mask_ids(_common_neighbours(g, vids))]
 
     center = members[0]
     for m in members[1:]:
@@ -155,10 +169,8 @@ def classify_clique(g: CodeGraph, vids: frozenset[int]) -> CliqueClass:
         if center.k < k - 1:
             break
     star_center = None
-    if center.k == k - 1:
-        family = {i for i, x in enumerate(g.vertices) if x.contains(center)}
-        if family == set(vids):
-            star_center = center
+    if center.k == k - 1 and not any(x.contains(center) for x in outside):
+        star_center = center
 
     roof = members[0]
     for m in members[1:]:
@@ -166,10 +178,8 @@ def classify_clique(g: CodeGraph, vids: frozenset[int]) -> CliqueClass:
         if roof.k > k + 1:
             break
     top_roof = None
-    if roof.k == k + 1:
-        family = {i for i, x in enumerate(g.vertices) if roof.contains(x)}
-        if family == set(vids):
-            top_roof = roof
+    if roof.k == k + 1 and not any(roof.contains(x) for x in outside):
+        top_roof = roof
 
     if g.kind == KIND_NONDEGENERATE:
         maximal_in_code = True
@@ -188,6 +198,16 @@ def classify_clique(g: CodeGraph, vids: frozenset[int]) -> CliqueClass:
     )
 
 
+def _common_neighbours(g: CodeGraph, vids: Iterable[int]) -> int:
+    """Bitmask of the vertices outside vids adjacent to every vertex of vids."""
+    common = (1 << g.nv) - 1
+    mask = 0
+    for v in vids:
+        common &= g.adj[v]
+        mask |= 1 << v
+    return common & ~mask
+
+
 def _is_maximal_clique(g: CodeGraph, vids: set[int]) -> bool:
     mask = 0
     for v in vids:
@@ -196,11 +216,7 @@ def _is_maximal_clique(g: CodeGraph, vids: set[int]) -> bool:
     for v in vids:
         if (g.adj[v] & mask).bit_count() != len(vids) - 1:
             return False
-    # no common neighbour outside
-    common = (1 << g.nv) - 1
-    for v in vids:
-        common &= g.adj[v]
-    return common & ~mask == 0
+    return _common_neighbours(g, vids) == 0
 
 
 def enumerate_maximal_cliques(g: CodeGraph) -> list[CliqueClass]:

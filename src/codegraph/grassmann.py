@@ -10,6 +10,7 @@ automorphisms alike, lives here too.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -184,16 +185,37 @@ def _hyperplane_keys(x: Subspace, coeffs: tuple[Subspace, ...]) -> list[tuple]:
 
 def greedy_order(adj: tuple[int, ...]) -> list[int]:
     """Vertices ordered so each has the most already-placed neighbours;
-    ties go to the smaller id."""
+    ties go to the smaller id.
+
+    A lazy max-heap keyed by (-placed neighbours, id), the pair packed
+    into one int as -count << shift | id so entries stay small.  Placing
+    a vertex pushes a fresh entry for each unplaced neighbour.  Counts
+    only grow, so a vertex's newest entry has the smallest key of its
+    entries and pops before them; the popped entry of an unplaced
+    vertex therefore carries its current count, and the entries left
+    behind are skipped on pop because their vertex is placed.
+    """
     nv = len(adj)
+    shift = nv.bit_length()
+    low = (1 << shift) - 1
+    count = [0] * nv
+    heap = list(range(nv))
     placed: list[int] = []
     placed_mask = 0
-    remaining = set(range(nv))
-    while remaining:
-        best = max(remaining, key=lambda v: ((adj[v] & placed_mask).bit_count(), -v))
-        placed.append(best)
-        placed_mask |= 1 << best
-        remaining.discard(best)
+    while heap:
+        key = heapq.heappop(heap)
+        v = key & low
+        if (placed_mask >> v) & 1:
+            continue
+        placed.append(v)
+        placed_mask |= 1 << v
+        m = adj[v] & ~placed_mask
+        while m:
+            b = m & -m
+            w = b.bit_length() - 1
+            count[w] += 1
+            heapq.heappush(heap, -count[w] << shift | w)
+            m ^= b
     return placed
 
 

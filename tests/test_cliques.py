@@ -1,8 +1,11 @@
 import itertools
+import random
+from functools import reduce
 
 import pytest
 
 from codegraph.cliques import (
+    CliqueClass,
     classify_clique,
     enumerate_maximal_cliques,
     maximal_clique_masks,
@@ -10,8 +13,8 @@ from codegraph.cliques import (
     star_criterion,
     top,
 )
-from codegraph.fqlinalg import enumerate_subspaces, rref, standard_basis_vector
-from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, build_graph, iter_edges
+from codegraph.fqlinalg import enumerate_subspaces, intersect, rref, standard_basis_vector, subspace_sum
+from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, build_graph, is_nondegenerate, iter_edges
 from codegraph.hmap import p_copoint, p_point, special_frame
 
 
@@ -37,6 +40,50 @@ def naive_maximal_cliques(adj: tuple[int, ...]) -> set[frozenset[int]]:
 
     grow(frozenset(), set(range(nv)))
     return cliques
+
+
+def reference_classify(g, vids: frozenset[int]) -> CliqueClass:
+    """Oracle: the full-vertex scan.  The star (top) is recorded when the
+    vertices of g containing the members' intersection (inside their
+    sum) are exactly vids.  On the code graph vids is taken to be a
+    maximal clique, as classify_clique documents; from the full graph
+    the restriction's maximality is found by testing every outside
+    code vertex."""
+    members = [g.vertices[v] for v in sorted(vids)]
+    center = reduce(intersect, members)
+    roof = reduce(subspace_sum, members)
+    star_center = top_roof = None
+    if center.k == g.k - 1 and {i for i, x in enumerate(g.vertices) if x.contains(center)} == set(vids):
+        star_center = center
+    if roof.k == g.k + 1 and {i for i, x in enumerate(g.vertices) if roof.contains(x)} == set(vids):
+        top_roof = roof
+    maximal_in_code = True
+    if g.kind == KIND_FULL:
+        code = build_graph(g.n, g.k, g.q, KIND_NONDEGENERATE)
+        cset = {code.index[x] for x in members if is_nondegenerate(x)}
+        maximal_in_code = (
+            bool(cset)
+            and all(code.is_edge(u, v) for u, v in itertools.combinations(cset, 2))
+            and not any(all(code.is_edge(w, u) for u in cset) for w in range(code.nv) if w not in cset)
+        )
+    return CliqueClass(
+        vertices=frozenset(vids),
+        star_center=star_center,
+        top_roof=top_roof,
+        maximal_in_code_graph=maximal_in_code,
+        is_maximal_star=star_center is not None and is_nondegenerate(star_center),
+    )
+
+
+def families(g) -> list[frozenset[int]]:
+    """The nonempty star and top families of g: its vertices through each
+    (k-1)-space and inside each (k+1)-space."""
+    out = []
+    for x in enumerate_subspaces(g.n, g.k - 1, g.q):
+        out.append(frozenset(i for i, v in enumerate(g.vertices) if v.contains(x)))
+    for y in enumerate_subspaces(g.n, g.k + 1, g.q):
+        out.append(frozenset(i for i, v in enumerate(g.vertices) if y.contains(v)))
+    return [f for f in out if f]
 
 
 def test_star_of_q_restricted_is_the_a_class(example1_classes):
@@ -181,3 +228,42 @@ def test_maximal_in_code_graph_flag():
             code.index[x] for x in members if is_nondegenerate(x)
         )
         assert c.maximal_in_code_graph == (bool(restricted) and restricted in code_sets)
+
+
+NON_MAXIMAL_GRAPHS = [
+    (4, 2, 2, KIND_FULL),
+    (4, 2, 2, KIND_NONDEGENERATE),
+    (5, 3, 2, KIND_FULL),
+    (5, 3, 2, KIND_NONDEGENERATE),
+    (4, 2, 3, KIND_FULL),
+    (4, 2, 3, KIND_NONDEGENERATE),
+]
+
+
+@pytest.mark.parametrize("n, k, q, kind", NON_MAXIMAL_GRAPHS)
+def test_classify_non_maximal_sets_against_full_scan(n, k, q, kind):
+    g = build_graph(n, k, q, kind)
+    rng = random.Random(n * 100 + k * 10 + q)
+    samples = [frozenset([v]) for v in range(0, g.nv, max(1, g.nv // 12))]
+    for fam in families(g):
+        samples.append(fam)
+        ids = sorted(fam)
+        if len(ids) > 1:
+            samples.append(frozenset(ids[:-1]))
+            samples.append(frozenset(rng.sample(ids, rng.randint(1, len(ids) - 1))))
+    partial = 0
+    for vids in samples:
+        got = classify_clique(g, vids)
+        assert got == reference_classify(g, vids), sorted(vids)
+        partial += got.verdict == "neither" and len(vids) > 1
+    assert partial  # proper subsets of families occur and stay "neither"
+
+
+@pytest.mark.parametrize(
+    "n, k, q, kind",
+    [(6, 2, 2, KIND_NONDEGENERATE)] + NON_MAXIMAL_GRAPHS[2:],
+)
+def test_maximal_cliques_against_full_scan(n, k, q, kind):
+    g = build_graph(n, k, q, kind)
+    found = enumerate_maximal_cliques(g)
+    assert found == [reference_classify(g, c.vertices) for c in found]

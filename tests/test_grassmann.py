@@ -239,3 +239,35 @@ def test_greedy_order_places_connected_vertices_first():
     for v in order[1:]:
         assert g.adj[v] & placed  # the code graph is connected
         placed |= 1 << v
+
+
+def quadratic_greedy_order(adj: tuple[int, ...]) -> list[int]:
+    """Reference: a max over every remaining vertex per placement."""
+    placed: list[int] = []
+    placed_mask = 0
+    remaining = set(range(len(adj)))
+    while remaining:
+        best = max(remaining, key=lambda v: ((adj[v] & placed_mask).bit_count(), -v))
+        placed.append(best)
+        placed_mask |= 1 << best
+        remaining.discard(best)
+    return placed
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(n, kind) for n in (4, 5, 6, 7) for kind in (KIND_NONDEGENERATE, KIND_FULL)]
+    + [(8, KIND_NONDEGENERATE)],
+)
+def test_greedy_order_matches_quadratic_reference(n, kind):
+    adj = build_graph(n, 2, 2, kind).adj
+    assert greedy_order(adj) == quadratic_greedy_order(adj)
+
+
+def test_greedy_order_ties_on_random_graphs():
+    # sparse and disconnected graphs put many vertices on equal counts
+    rng = random.Random(7)
+    for _ in range(60):
+        nv = rng.randint(1, 40)
+        adj = random_adj(rng, nv, rng.uniform(0.0, 0.5))
+        assert greedy_order(adj) == quadratic_greedy_order(adj)
