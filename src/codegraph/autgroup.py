@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Iterator
 
-from .errors import ParameterError
+from .errors import Falsified, ParameterError
 from .fqlinalg import (
     Subspace,
     Vector,
@@ -292,21 +292,108 @@ def vertex_permutation(a: GraphAutomorphism, g: CodeGraph) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# direct graph-automorphism search (independent of any group theory)
+# direct graph-automorphism count: orbit-stabilizer on the search's own
+# maps, with no matrices
 
 
 def graph_automorphisms(g: CodeGraph, collect: bool = False) -> tuple[int, list[tuple[int, ...]]]:
     """Count (and optionally collect) all adjacency-preserving vertex
-    bijections: induced backtracking of g onto itself, each vertex
-    starting from the vertices of its own degree."""
+    bijections of g, through a stabilizer chain (Sims 1970).
+
+    Base points b_1, b_2, ... are taken in ``greedy_order``.  G_0 is the
+    whole group and G_i fixes b_1..b_i.  Each vertex starts from the
+    vertices of its own degree; at level i, b_1..b_{i-1} are pinned to
+    themselves and every other domain is narrowed by induced adjacency
+    to each pinned point.  The orbit of b_i under G_{i-1} grows from
+    {b_i}: a candidate target already reached by closing the orbit
+    under the automorphisms found at this level is skipped, and every
+    other candidate is decided by one first-solution ``backtrack`` with
+    b_i pinned to it.  Each orbit point keeps one transversal element,
+    an automorphism of G_{i-1} sending b_i there.  The count is the
+    product of the orbit sizes; ``collect`` returns every product of
+    transversal elements, one per group element, in no fixed order.
+
+    Proof obligations:
+
+    - A map yielded with ``induced=True`` is a bijection of the vertex
+      set that preserves adjacency and non-adjacency, so it is an
+      automorphism; with the pinned points' domains {b_j} it lies in
+      G_{i-1}.
+    - Narrowing drops only targets no automorphism of G_{i-1} can use:
+      one that fixes b maps b's neighbours to b's neighbours and its
+      other vertices to its other non-neighbours.  Degree classes are
+      kept by every automorphism.  So the search with b_i pinned to t
+      finds a map exactly when t lies in the orbit.
+    - Closing under found automorphisms of G_{i-1} adds only orbit
+      points (their transversal element is a product of automorphisms
+      of G_{i-1}), and every candidate left unreached is searched, so
+      each orbit is exact.
+    - |G_{i-1}| = |orbit_i| * |G_i|, a level whose narrowed domain is
+      already {b_i} has orbit {b_i}, and the stabilizer of every vertex
+      is trivial, so the count is exact.
+    - Every element factors uniquely as u_1 u_2 ... with u_i in the
+      i-th transversal, so the collected maps are distinct; that is
+      checked at run time and a shortfall raises Falsified.
+    """
+    adj = g.adj
+    nv = len(adj)
     by_degree: dict[int, int] = defaultdict(int)
-    for c, row in enumerate(g.adj):
+    for c, row in enumerate(adj):
         by_degree[row.bit_count()] |= 1 << c
-    domains = [by_degree[row.bit_count()] for row in g.adj]
-    count = 0
+    domains = [by_degree[row.bit_count()] for row in adj]
+    order = greedy_order(adj)
+    identity = tuple(range(nv))
+    count = 1
+    transversals: list[list[tuple[int, ...]]] = []
+    for b in order:
+        if domains[b] != 1 << b:
+            orbit = _orbit(adj, order, domains, b, identity)
+            count *= len(orbit)
+            transversals.append(orbit)
+        domains[b] = 1 << b
+        near = adj[b]
+        far = ~near & ~(1 << b)
+        for w in range(nv):
+            if w != b:
+                domains[w] &= near if (near >> w) & 1 else far
     perms: list[tuple[int, ...]] = []
-    for perm in backtrack(g.adj, g.adj, greedy_order(g.adj), domains, induced=True):
-        count += 1
-        if collect:
-            perms.append(perm)
+    if collect:
+        perms = [identity]
+        for level in transversals:
+            perms = [tuple(p[x] for x in u) for p in perms for u in level]
+        if len(set(perms)) != count:
+            raise Falsified(
+                f"{len(set(perms))} distinct products of transversal elements, not {count}"
+            )
     return count, perms
+
+
+def _orbit(
+    adj: tuple[int, ...], order: list[int], domains: list[int], b: int, identity: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """One transversal element per point of b's orbit under the
+    automorphisms that respect ``domains``: each maps b to its point."""
+    reached = {b: identity}
+    found: list[tuple[int, ...]] = []
+    m = domains[b] & ~(1 << b)
+    while m:
+        t = (m & -m).bit_length() - 1
+        m &= m - 1
+        if t in reached:
+            continue
+        pinned = list(domains)
+        pinned[b] = 1 << t
+        s = next(backtrack(adj, adj, order, pinned, induced=True), None)
+        if s is None:
+            continue
+        found.append(s)
+        # close the orbit under every automorphism found at this level
+        queue = list(reached)
+        while queue:
+            p = queue.pop()
+            u = reached[p]
+            for h in found:
+                if h[p] not in reached:
+                    reached[h[p]] = tuple(h[x] for x in u)
+                    queue.append(h[p])
+    return list(reached.values())

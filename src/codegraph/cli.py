@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism group orders")
     common(p)
-    p.add_argument("--direct", action="store_true", help="also run the brute-force graph searches")
+    p.add_argument("--direct", action="store_true", help="also count both graphs' automorphisms directly")
 
     p = sub.add_parser("theorem", help="exhaustively certify the classification")
     common(p, k=False, q=False)
@@ -212,8 +212,9 @@ def _cmd_aut(cfg: RunConfig) -> tuple[dict, list[str], int]:
     ]
     code = EXIT_OK
     if cfg.direct:
-        # the generated groups are Aut only for 1 < k < n-1, and the
-        # searches list every element one by one
+        # the generated groups are Aut only for 1 < k < n-1; the cap on
+        # the generated order bounds the graphs --direct accepts, though
+        # the stabilizer-chain count lists no elements
         if not 1 < cfg.k < cfg.n - 1:
             raise ParameterError(f"--direct needs 1 < k < n-1, got k={cfg.k}, n={cfg.n}")
         if gg.order > fqlinalg.MAX_LISTING:

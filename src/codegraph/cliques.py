@@ -11,7 +11,7 @@ without enumerating anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .errors import ParameterError
 from . import fqlinalg
@@ -144,7 +144,9 @@ def classify_clique(g: CodeGraph, vids: frozenset[int]) -> CliqueClass:
 
     Star and top are recorded only when the clique equals the complete
     intersection of the candidate family with g's vertex set; partial
-    containment stays "neither".
+    containment stays "neither".  ``maximal_in_code_graph`` is tested,
+    not assumed: vids (on a code graph) or its non-degenerate members
+    (on a full graph) must form a maximal clique of the code graph.
 
     The families are compared with the clique through its common
     neighbourhood instead of a scan of every vertex.  Every member
@@ -182,11 +184,11 @@ def classify_clique(g: CodeGraph, vids: frozenset[int]) -> CliqueClass:
         top_roof = roof
 
     if g.kind == KIND_NONDEGENERATE:
-        maximal_in_code = True
+        code, cset = g, vids
     else:
         code = build_graph(g.n, g.k, g.q, KIND_NONDEGENERATE)
         cset = {code.index[x] for x in members if is_nondegenerate(x)}
-        maximal_in_code = bool(cset) and _is_maximal_clique(code, cset)
+    maximal_in_code = bool(cset) and _is_maximal_clique(code, cset)
 
     is_max_star = star_center is not None and is_nondegenerate(star_center)
     return CliqueClass(
@@ -208,7 +210,7 @@ def _common_neighbours(g: CodeGraph, vids: Iterable[int]) -> int:
     return common & ~mask
 
 
-def _is_maximal_clique(g: CodeGraph, vids: set[int]) -> bool:
+def _is_maximal_clique(g: CodeGraph, vids: AbstractSet[int]) -> bool:
     mask = 0
     for v in vids:
         mask |= 1 << v

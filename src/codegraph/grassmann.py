@@ -242,11 +242,11 @@ def backtrack(
     (a time.monotonic() value).
     """
     nv = len(src_adj)
-    later = [[w for w in order[d + 1 :] if (src_adj[order[d]] >> w) & 1] for d in range(nv)]
-    apart = [
-        [w for w in order[d + 1 :] if not (src_adj[order[d]] >> w) & 1] if induced else []
-        for d in range(nv)
-    ]
+    # later[d] / apart[d] are built when a frame first reaches depth d,
+    # so a search that dies early never pays for the deeper levels
+    later: list = [None] * nv
+    apart: list = [None] * nv
+    later[0], apart[0] = _depth_lists(src_adj, order, 0, induced)
     cand = list(domains)
     mapping = [0] * nv
     # frames: [remaining candidates, used-mask before this level, undo list]
@@ -298,10 +298,24 @@ def backtrack(
         if not ok:
             continue
         mapping[order[d]] = c
-        if d + 1 == nv:
+        d += 1
+        if d == nv:
             yield tuple(mapping)
             continue
-        frames.append([cand[order[d + 1]] & free, ~free, None])
+        if later[d] is None:
+            later[d], apart[d] = _depth_lists(src_adj, order, d, induced)
+        frames.append([cand[order[d]] & free, ~free, None])
+
+
+def _depth_lists(
+    src_adj: tuple[int, ...], order: list[int], d: int, induced: bool
+) -> tuple[list[int], list[int]]:
+    """The vertices after order[d] in order that are its neighbours, and
+    (only when induced) those that are not."""
+    row = src_adj[order[d]]
+    rest = order[d + 1 :]
+    near = [w for w in rest if (row >> w) & 1]
+    return near, [w for w in rest if not (row >> w) & 1] if induced else []
 
 
 def connected_components(g: CodeGraph) -> list[set[int]]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from codegraph.fqlinalg import (
     rref,
     standard_basis_vector,
 )
-from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, build_graph, is_adjacent, iter_edges
+from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, CodeGraph, build_graph, is_adjacent, iter_edges
 
 
 def random_automorphism(rng: random.Random, n: int, q: int = 2, allow_dual: bool = False) -> GraphAutomorphism:
@@ -226,6 +227,70 @@ def test_generated_equals_direct_on_full_graph(ctx4):
         generated.add(bytes(p))
         generated.add(bytes(orth[t] for t in p))
     assert generated == direct
+
+
+@pytest.mark.parametrize(
+    "n, k, q, kind",
+    [(5, 2, 2, KIND_FULL), (4, 2, 3, KIND_FULL), (5, 3, 2, KIND_FULL), (6, 2, 2, KIND_NONDEGENERATE)],
+)
+def test_direct_count_equals_generated_order_past_n4(n, k, q, kind):
+    # orders no element-by-element search could reach: 9,999,360 for
+    # G(5,2) and G(5,3), 24,261,120 for G(4,2)_3 where the
+    # orthocomplement doubles the group, 720 for the code graph of n = 6
+    handle = (grassmann_aut_group if kind == KIND_FULL else code_graph_aut_group)(n, k, q)
+    count, _ = graph_automorphisms(build_graph(n, k, q, kind))
+    assert count == handle.order
+    if kind == KIND_NONDEGENERATE:
+        assert count == 720
+
+
+def graph_of(adj: tuple[int, ...]) -> CodeGraph:
+    """A bare graph for the automorphism search, which reads only adj."""
+    nv = len(adj)
+    return CodeGraph(nv, 1, 2, "test", tuple(range(nv)), adj, sum(r.bit_count() for r in adj) // 2)
+
+
+def adj_of(nv: int, edges) -> tuple[int, ...]:
+    adj = [0] * nv
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def brute_force_automorphisms(adj: tuple[int, ...]) -> set[tuple[int, ...]]:
+    nv = len(adj)
+    pairs = list(itertools.combinations(range(nv), 2))
+    return {
+        p
+        for p in itertools.permutations(range(nv))
+        if all(((adj[i] >> j) & 1) == ((adj[p[i]] >> p[j]) & 1) for i, j in pairs)
+    }
+
+
+def chain_test_graphs() -> list[tuple[int, ...]]:
+    """Edgeless, complete, cyclic and disconnected graphs, whose
+    stabilizers stay non-trivial deep into the chain, then seeded
+    random graphs up to 60 in all."""
+    graphs = [adj_of(nv, []) for nv in (1, 2, 5, 7)]
+    graphs += [adj_of(nv, itertools.combinations(range(nv), 2)) for nv in (2, 4, 7)]
+    graphs += [adj_of(nv, [(i, (i + 1) % nv) for i in range(nv)]) for nv in (3, 4, 5, 6, 7)]
+    graphs.append(adj_of(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))  # two triangles
+    graphs.append(adj_of(7, [(0, 1), (2, 3), (4, 5)]))  # a matching and a lone vertex
+    graphs.append(adj_of(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4)]))  # path and triangle
+    rng = random.Random(31)
+    while len(graphs) < 60:
+        nv = rng.randint(1, 7)
+        p = rng.uniform(0.1, 0.9)
+        graphs.append(adj_of(nv, [e for e in itertools.combinations(range(nv), 2) if rng.random() < p]))
+    return graphs
+
+
+def test_stabilizer_chain_matches_brute_force():
+    for adj in chain_test_graphs():
+        count, perms = graph_automorphisms(graph_of(adj), collect=True)
+        assert count == len(perms) == len(set(perms)), adj
+        assert set(perms) == brute_force_automorphisms(adj), adj
 
 
 def test_alternative_symmetric_form_generates_the_same_group(ctx4):

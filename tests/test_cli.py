@@ -96,7 +96,8 @@ def test_aut_command(capsys):
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (5, 2)])
 def test_aut_direct_outside_its_scope_exit_2(capsys, monkeypatch, n, k):
     # (3,1) and (4,1) lie outside 1 < k < n-1, where the generated group
-    # is not Aut; (5,2) would list 9,999,360 automorphisms
+    # is not Aut; (5,2) has 9,999,360 automorphisms, past the order cap
+    # on --direct
     def no_search(g, collect=False):
         raise AssertionError("the direct search must not start")
 

@@ -45,10 +45,9 @@ def naive_maximal_cliques(adj: tuple[int, ...]) -> set[frozenset[int]]:
 def reference_classify(g, vids: frozenset[int]) -> CliqueClass:
     """Oracle: the full-vertex scan.  The star (top) is recorded when the
     vertices of g containing the members' intersection (inside their
-    sum) are exactly vids.  On the code graph vids is taken to be a
-    maximal clique, as classify_clique documents; from the full graph
-    the restriction's maximality is found by testing every outside
-    code vertex."""
+    sum) are exactly vids.  The maximality of vids on the code graph,
+    or of its non-degenerate members from the full graph, is found by
+    testing every outside code vertex."""
     members = [g.vertices[v] for v in sorted(vids)]
     center = reduce(intersect, members)
     roof = reduce(subspace_sum, members)
@@ -57,15 +56,13 @@ def reference_classify(g, vids: frozenset[int]) -> CliqueClass:
         star_center = center
     if roof.k == g.k + 1 and {i for i, x in enumerate(g.vertices) if roof.contains(x)} == set(vids):
         top_roof = roof
-    maximal_in_code = True
-    if g.kind == KIND_FULL:
-        code = build_graph(g.n, g.k, g.q, KIND_NONDEGENERATE)
-        cset = {code.index[x] for x in members if is_nondegenerate(x)}
-        maximal_in_code = (
-            bool(cset)
-            and all(code.is_edge(u, v) for u, v in itertools.combinations(cset, 2))
-            and not any(all(code.is_edge(w, u) for u in cset) for w in range(code.nv) if w not in cset)
-        )
+    code = build_graph(g.n, g.k, g.q, KIND_NONDEGENERATE)
+    cset = {code.index[x] for x in members if is_nondegenerate(x)}
+    maximal_in_code = (
+        bool(cset)
+        and all(code.is_edge(u, v) for u, v in itertools.combinations(cset, 2))
+        and not any(all(code.is_edge(w, u) for u in cset) for w in range(code.nv) if w not in cset)
+    )
     return CliqueClass(
         vertices=frozenset(vids),
         star_center=star_center,
@@ -228,6 +225,15 @@ def test_maximal_in_code_graph_flag():
             code.index[x] for x in members if is_nondegenerate(x)
         )
         assert c.maximal_in_code_graph == (bool(restricted) and restricted in code_sets)
+
+
+def test_maximal_in_code_graph_flag_on_the_code_graph():
+    # the flag is tested on the code graph too, not assumed
+    g = build_graph(4, 2, 2, KIND_NONDEGENERATE)
+    family = frozenset(g.index[x] for x in star(special_frame(4).Q, restrict=True))
+    assert classify_clique(g, family).maximal_in_code_graph
+    for v in family:
+        assert not classify_clique(g, family - {v}).maximal_in_code_graph
 
 
 NON_MAXIMAL_GRAPHS = [
