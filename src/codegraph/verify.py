@@ -37,9 +37,9 @@ from .autgroup import (
     GraphAutomorphism,
     apply,
     cols_bits_to_rows,
-    gl2_cols_stream,
+    graph_automorphisms,
+    grassmann_aut_group,
     matrix_inline_text,
-    order_gl,
     orthocomplement,
 )
 
@@ -89,11 +89,9 @@ class LemmaContext:
 
     Everything an embedding check needs is resolved to integer tables
     here once, so the per-embedding work is plain bitmask arithmetic.
-    ``with_tables`` (default: n == 4) also scans the automorphism group
-    for the certificate's group fields.
     """
 
-    def __init__(self, n: int, with_tables: bool | None = None):
+    def __init__(self, n: int):
         if n < 4:
             raise ParameterError("embeddings are studied for ambient dimension >= 4")
         self.n = n
@@ -218,61 +216,6 @@ class LemmaContext:
         self._perm_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
         self.search_order = greedy_order(self.code.adj)
-        self.group_fields: Optional[dict[str, int | bool]] = None
-        if with_tables is None:
-            with_tables = n == 4
-        if with_tables:
-            self.group_fields = self._scan_group()
-
-    # -- the certificate's group fields (one pass over Aut G(4,2)) -----------
-
-    def _scan_group(self) -> dict[str, int | bool]:
-        """Group order, distinct restrictions and distinct collapse
-        composites, from the stabilizers K of gid and K_h of h_gid.
-
-        Proof obligation: the scanned elements, every matrix of
-        ``gl2_cols_stream`` with and without the orthocomplement, form a
-        group.  Then, by orbit-stabilizer, two elements restrict equally
-        iff they differ by an element of K, so there are order / |K|
-        distinct restrictions and order / |K_h| distinct composites; and
-        a restriction equals a composite iff some element sends gid to
-        h_gid.  The stream's count and distinctness are checked here;
-        test_generated_equals_direct_on_full_graph shows the elements are
-        exactly Aut G(4,2).
-        """
-        if self.n != 4:
-            raise ParameterError("the group scan runs only at n = 4")
-        orth = self.orth_perm
-        assert orth is not None
-        gid, h_gid, nc = self.gid, self.h_gid, self.nc
-        both = gid + h_gid
-        matrices = set()
-        order = fix = fix_h = 0
-        for cols in gl2_cols_stream(self.n):
-            matrices.add(cols)
-            img = self._plane_images(cols, both)
-            for dual in (False, True):
-                if dual:
-                    img = tuple(orth[t] for t in img)
-                order += 1
-                restr = img[:nc]
-                if restr == h_gid:
-                    raise Falsified(
-                        "an automorphism restriction coincides with a collapse composite; "
-                        "the exceptional map would be extendable"
-                    )
-                fix += restr == gid
-                fix_h += img[nc:] == h_gid
-        if order != 2 * order_gl(self.n, 2):
-            raise Falsified(f"the group scan saw {order} elements, not 2 |GL(4,2)|")
-        if 2 * len(matrices) != order:
-            raise Falsified("the group scan saw a matrix more than once")
-        return {
-            "group_order": order,
-            "distinct_restrictions": order // fix,
-            "distinct_exceptional_images": order // fix_h,
-            "exceptional_witness_unique": fix_h == 1,
-        }
 
     def perm_of_cols(self, cols: tuple[int, ...]) -> tuple[int, ...]:
         """Vertex permutation of the full graph induced by a linear map
@@ -322,16 +265,65 @@ class LemmaContext:
         return self._plane_images(cols, images)
 
 
-_CTX_CACHE: dict[tuple[int, bool], LemmaContext] = {}
+_CTX_CACHE: dict[int, LemmaContext] = {}
 
 
-def build_context(n: int, with_tables: bool | None = None) -> LemmaContext:
-    key = (n, bool(with_tables) if with_tables is not None else n == 4)
-    ctx = _CTX_CACHE.get(key)
+def build_context(n: int, _ignored: object = None) -> LemmaContext:
+    """The cached context for size n.  The second parameter is ignored:
+    it exists only for the benchmark's ``build_context(4, False)`` call,
+    and the next change to the benchmark should drop both."""
+    ctx = _CTX_CACHE.get(n)
     if ctx is None:
-        ctx = LemmaContext(n, with_tables)
-        _CTX_CACHE[key] = ctx
+        ctx = _CTX_CACHE[n] = LemmaContext(n)
     return ctx
+
+
+def group_fields(ctx: LemmaContext) -> dict[str, int | bool]:
+    """The certificate's group fields, read off the full graph with no
+    matrices: K (K_h) is the group of automorphisms fixing every gid[v]
+    (h_gid[v]), and the group order is ``graph_automorphisms``'s count.
+
+    Proof obligations:
+
+    - A map ``backtrack`` yields with ``induced=True`` on the full graph
+      is a bijection preserving adjacency and non-adjacency, so it is an
+      automorphism.  One with every gid[v] pinned to itself fixes the
+      identity embedding, so the yields are exactly K; likewise K_h.
+    - Two automorphisms restrict equally iff they differ by an element
+      of K, so there are order / |K| distinct restrictions; likewise
+      order / |K_h| distinct exceptional images.
+    - A restriction equals a composite iff some automorphism sends gid
+      to h_gid; that search runs exhaustively, with no deadline.
+
+    Raises Falsified when the count differs from the generated order or
+    an automorphism sends gid to h_gid.
+    """
+    adj = ctx.full.adj
+    order = greedy_order(adj)
+
+    def maps(src: tuple[int, ...], dst: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        domains = [(1 << len(adj)) - 1] * len(adj)
+        for s, t in zip(src, dst):
+            domains[s] = 1 << t
+        return backtrack(adj, adj, order, domains, induced=True)
+
+    group_order = graph_automorphisms(ctx.full)[0]
+    generated = grassmann_aut_group(ctx.n, 2, 2).order
+    if group_order != generated:
+        raise Falsified(f"the chain counts {group_order} automorphisms, not the generated {generated}")
+    if next(maps(ctx.gid, ctx.h_gid), None) is not None:
+        raise Falsified(
+            "an automorphism restriction coincides with a collapse composite; "
+            "the exceptional map would be extendable"
+        )
+    fix = sum(1 for _ in maps(ctx.gid, ctx.gid))
+    fix_h = sum(1 for _ in maps(ctx.h_gid, ctx.h_gid))
+    return {
+        "group_order": group_order,
+        "distinct_restrictions": group_order // fix,
+        "distinct_exceptional_images": group_order // fix_h,
+        "exceptional_witness_unique": fix_h == 1,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +374,7 @@ def enumerate_embeddings(
     if n >= 5 and budget_secs is None:
         raise ParameterError("sizes beyond 4 need an explicit time budget")
     if ctx is None:
-        ctx = build_context(n, with_tables=False)
+        ctx = build_context(n)
     deadline = _deadline(budget_secs)
     roots = None if first_vertices is None else sum(1 << c for c in set(first_vertices))
     for images in _embeddings(ctx, _order_for(ctx, order_variant), roots, deadline):
@@ -734,11 +726,12 @@ def _numbered_writer(fh: TextIO) -> Callable[[str], None]:
 def _run_branches(
     ctx: LemmaContext,
     order: list[int],
-    branches: list[int],
+    roots: Optional[int],
     deadline: Optional[float],
     emit_line: Optional[Callable[[str], None]],
 ) -> dict:
-    """Classify the embeddings of the given root branches and tally them;
+    """Classify the embeddings whose first vertex in ``order`` lands in
+    the bitmask ``roots`` (anywhere when None) and tally them;
     ``emit_line`` receives one verdict+witness line per valid embedding."""
     tallies = {k: {"pass": 0, "fail": 0} for k in LEMMA_KEYS}
     counts = {"total": 0, "extendable": 0, "exceptional": 0, "unclassified": 0}
@@ -753,7 +746,7 @@ def _run_branches(
     reports: dict[tuple[int, ...], dict] = {}
     complete = True
     try:
-        for images in _embeddings(ctx, order, sum(1 << b for b in branches), deadline):
+        for images in _embeddings(ctx, order, roots, deadline):
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceeded("classification stopped at its wall-clock budget")
             counts["total"] += 1
@@ -822,15 +815,15 @@ def certify_theorem(
     if n == 5 and budget_secs is None:
         raise ParameterError("the n = 5 search space needs an explicit time budget")
     ctx = build_context(n)
+    fields = group_fields(ctx) if n == 4 else {}
     # the clock covers certification only, not the cached context build
+    # or the group fields
     t0 = time.monotonic()
     deadline = _deadline(budget_secs)
     dump = open(witness_dump, "w", encoding="utf-8") if witness_dump is not None else nullcontext()
     with dump as fh:
         emit_line = _numbered_writer(fh) if fh is not None else None
-        res = _run_branches(
-            ctx, _order_for(ctx, order_variant), list(range(ctx.full.nv)), deadline, emit_line
-        )
+        res = _run_branches(ctx, _order_for(ctx, order_variant), None, deadline, emit_line)
     counts = res["counts"]
     cert = {
         "n": n,
@@ -845,8 +838,7 @@ def certify_theorem(
         "witness_failures": res["witness_failures"],
         "route_mismatches": res["route_mismatches"],
     }
-    if ctx.group_fields is not None:
-        cert.update(ctx.group_fields)
+    cert.update(fields)
     cert["complete"] = res["complete"]
     cert["wall_ms"] = int((time.monotonic() - t0) * 1000)
     return cert

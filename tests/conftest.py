@@ -46,7 +46,7 @@ def example2_complements() -> dict[str, list[Subspace]]:
 
 @pytest.fixture(scope="session")
 def ctx4():
-    """The n=4 theorem context with group tables, built once per session."""
+    """The n=4 theorem context, built once per session."""
     from codegraph.verify import build_context
 
     return build_context(4)

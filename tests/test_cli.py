@@ -93,10 +93,10 @@ def test_aut_command(capsys):
     assert payload["code_graph_aut_order"] == 24
 
 
-@pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (5, 2)])
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (7, 2)])
 def test_aut_direct_outside_its_scope_exit_2(capsys, monkeypatch, n, k):
     # (3,1) and (4,1) lie outside 1 < k < n-1, where the generated group
-    # is not Aut; (5,2) has 9,999,360 automorphisms, past the order cap
+    # is not Aut; full G(7,2) has 2667 vertices, past the vertex guard
     # on --direct
     def no_search(g, collect=False):
         raise AssertionError("the direct search must not start")
@@ -105,6 +105,14 @@ def test_aut_direct_outside_its_scope_exit_2(capsys, monkeypatch, n, k):
     code = cli.main(["aut", "--n", str(n), "--k", str(k), "--direct"])
     assert code == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_aut_direct_counts_g52(capsys):
+    code, out = run_cli(capsys, ["aut", "--n", "5", "--k", "2", "--direct", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["direct_full"] == payload["grassmann_aut_order"] == 9999360
+    assert payload["match"] is True
 
 
 def test_invalid_config_exit_2(capsys):

@@ -72,7 +72,7 @@ def test_parity_of_pn_across_sizes():
     # membership of the last axis complement in H alternates with n,
     # matching the hyperplane functional read off the frame
     for n, expected in ((4, False), (5, True), (6, False)):
-        ctx = build_context(n, with_tables=False) if n != 4 else build_context(4)
+        ctx = build_context(n)
         assert ctx.pn_in_H is expected
 
 
@@ -199,7 +199,7 @@ def push(cols: tuple[int, ...], v: int) -> int:
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_plane_images_match_the_subspace_action(n):
     # the line-pair table route against autgroup.apply through Subspace
-    ctx = build_context(n, with_tables=False)
+    ctx = build_context(n)
     rng = random.Random(100 + n)
     every = tuple(range(ctx.full.nv))
     for _ in range(30):
@@ -222,7 +222,7 @@ def test_plane_images_match_the_subspace_action(n):
     ],
 )
 def test_singular_maps_raise_instead_of_returning_a_plane(n, cols):
-    ctx = build_context(n, with_tables=False)
+    ctx = build_context(n)
     kernel = {v for v in range(1, 1 << n) if push(cols, v) == 0}
     assert kernel
     with pytest.raises(KeyError):
@@ -323,43 +323,39 @@ def test_h_is_not_any_restriction(ctx4, group_images):
 
 def test_group_scan_rejects_a_collapse_map_that_is_a_restriction(monkeypatch):
     # fault: the collapse map is replaced by the restriction of a swap
-    ctx = verify.LemmaContext(4, with_tables=False)
+    ctx = verify.LemmaContext(4)
     monkeypatch.setattr(ctx, "h_gid", restriction_images(ctx, swap_automorphism(4, 1, 2)))
     with pytest.raises(Falsified, match="coincides"):
-        ctx._scan_group()
+        verify.group_fields(ctx)
+
+
+def test_group_fields_reject_an_off_by_one_chain_count(ctx4, monkeypatch):
+    # fault: the stabilizer chain counts one automorphism too many
+    real = verify.graph_automorphisms
+    monkeypatch.setattr(verify, "graph_automorphisms", lambda g: (real(g)[0] + 1, []))
+    with pytest.raises(Falsified, match="40321"):
+        verify.group_fields(ctx4)
 
 
 def test_group_fields_match_explicit_sets(ctx4, group_images):
     restrictions, composites = group_images
-    assert ctx4.group_fields == {
+    fields = verify.group_fields(ctx4)
+    assert fields == {
         "group_order": len(restrictions),
         "distinct_restrictions": len(set(restrictions)),
         "distinct_exceptional_images": len(set(composites)),
         "exceptional_witness_unique": len(set(composites)) == len(composites),
     }
-    assert ctx4.group_fields["group_order"] == 40320
+    assert fields["group_order"] == 40320
 
 
-def dropping_one(stream):
-    for i, cols in enumerate(stream):
-        if i != 777:
-            yield cols
-
-
-def repeating_one(stream):
-    first = next(stream)
-    yield first
-    for i, cols in enumerate(stream):
-        yield first if i == 776 else cols
-
-
-@pytest.mark.parametrize("fault", [dropping_one, repeating_one], ids=["drop", "repeat"])
-def test_group_scan_rejects_a_stream_that_is_not_the_group(monkeypatch, fault):
-    # a fresh context, not the build_context cache, so the scan reruns
-    real = verify.gl2_cols_stream
-    monkeypatch.setattr(verify, "gl2_cols_stream", lambda n: fault(real(n)))
-    with pytest.raises(Falsified):
-        verify.LemmaContext(4)
+def test_group_fields_past_n4():
+    assert verify.group_fields(build_context(5)) == {
+        "group_order": 9999360,
+        "distinct_restrictions": 9999360,
+        "distinct_exceptional_images": 9999360,
+        "exceptional_witness_unique": True,
+    }
 
 
 def test_constructive_route_recovers_sampled_group_elements(ctx4):
@@ -391,8 +387,7 @@ def test_certify_rejects_unsupported_n():
 
 
 def test_n5_constructive_classification():
-    ctx = build_context(5, with_tables=False)
-    assert ctx.group_fields is None
+    ctx = build_context(5)
     h_emb = classify(ctx, EmbeddingMap(5, ctx.h_gid))
     assert h_emb.verdict == "exceptional"
     assert h_emb.witness.is_identity
@@ -464,7 +459,7 @@ def test_certificate_invariant_across_orders(certificate4):
 
 def run_root_branch(ctx):
     """The certification loop on root branch 0 (2304 embeddings at n = 4)."""
-    return verify._run_branches(ctx, ctx.search_order, [0], None, None)
+    return verify._run_branches(ctx, ctx.search_order, 1 << 0, None, None)
 
 
 def counting_lemma_chain(monkeypatch, alter=None):
