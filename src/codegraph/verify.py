@@ -217,6 +217,14 @@ class LemmaContext:
 
         self.search_order = greedy_order(self.code.adj)
 
+        # each code vertex's neighbours with a larger id, for the soundness
+        # recheck; the tuples share the int objects of one id list
+        ids = list(range(self.nc))
+        self.code_later: tuple[tuple[int, ...], ...] = tuple(
+            tuple([j for j in ids[i + 1:] if (row >> j) & 1])
+            for i, row in enumerate(self.code.adj)
+        )
+
     def perm_of_cols(self, cols: tuple[int, ...]) -> tuple[int, ...]:
         """Vertex permutation of the full graph induced by a linear map
         given as column bitmasks; cached."""
@@ -382,16 +390,19 @@ def enumerate_embeddings(
 
 
 def is_valid_embedding(ctx: LemmaContext, images: tuple[int, ...]) -> bool:
-    """Naive double-loop recheck, independent of the search pruning."""
+    """Recheck injectivity and that every code edge lands on a full edge.
+
+    Each edge {i, j} with i < j is read once, from ``ctx.code_later[i]``.
+    Only the two adjacency tables are read, never the search's order or
+    domains, so the recheck is independent of the search pruning.
+    """
     if len(set(images)) != len(images):
         return False
-    code_adj = ctx.code.adj
     full_adj = ctx.full.adj
-    nc = ctx.nc
-    for i in range(nc):
-        row = code_adj[i]
-        for j in range(i + 1, nc):
-            if (row >> j) & 1 and not (full_adj[images[i]] >> images[j]) & 1:
+    for i, later in enumerate(ctx.code_later):
+        row = full_adj[images[i]]
+        for j in later:
+            if not (row >> images[j]) & 1:
                 return False
     return True
 
@@ -723,6 +734,16 @@ def _numbered_writer(fh: TextIO) -> Callable[[str], None]:
     return lambda line: fh.write(f"{next(numbers)} {line}\n")
 
 
+# the constructive verdict each endgame kind must agree with
+_EXPECTED_KIND = {"identity": "extendable", "h": "exceptional", None: "unclassified"}
+
+
+def _tally_checks(tallies: dict, report: dict, uses: int) -> None:
+    """Add each check of ``report`` to ``tallies``, ``uses`` times."""
+    for name, res in report["checks"].items():
+        tallies[name]["pass" if res["passed"] else "fail"] += uses
+
+
 def _run_branches(
     ctx: LemmaContext,
     order: list[int],
@@ -738,12 +759,16 @@ def _run_branches(
     soundness_failures = 0
     witness_failures = 0
     route_mismatches = 0
-    # Invariant-chain reports by normalized tuple.  lemma_chain reads only
-    # ctx tables and emb.images, so equal tuples give equal reports.  A
+    # Invariant-chain reports by normalized tuple, each with its number of
+    # uses.  lemma_chain reads only ctx tables and emb.images, so equal
+    # tuples give equal reports, and adding a report's checks once per use
+    # after the loop gives the same totals as adding them per embedding.
+    # The fold sits after the try, so a budget-stopped pass folds too.  A
     # report is kept only when its endgame matched, i.e. the tuple is
     # ctx.gid or ctx.h_gid, so at most two are held; any other tuple is a
-    # would-be counterexample and gets the full chain every time.
-    reports: dict[tuple[int, ...], dict] = {}
+    # would-be counterexample, gets the full chain every time and is
+    # tallied at once.
+    reports: dict[tuple[int, ...], list] = {}
     complete = True
     try:
         for images in _embeddings(ctx, order, roots, deadline):
@@ -761,23 +786,21 @@ def _run_branches(
                 tallies["normalize"]["fail"] += 1
             kind_endgame = None
             if norm is not None:
-                report = reports.get(norm[0])
-                if report is None:
+                entry = reports.get(norm[0])
+                if entry is not None:
+                    entry[1] += 1
+                    report = entry[0]
+                else:
                     report = lemma_chain(ctx, EmbeddingMap(ctx.n, norm[0]))
                     if report["endgame_kind"] is not None:
-                        reports[norm[0]] = report
+                        reports[norm[0]] = [report, 1]
+                    else:
+                        _tally_checks(tallies, report, 1)
                 kind_endgame = report["endgame_kind"]
-                for name, res in report["checks"].items():
-                    tallies[name]["pass" if res["passed"] else "fail"] += 1
             kind, wcols, dual = _classify_ids(ctx, images, norm)
             counts[kind] += 1
             # the two routes must agree: constructive verdict vs endgame
-            expected_kind = {
-                "identity": "extendable",
-                "h": "exceptional",
-                None: "unclassified",
-            }[kind_endgame]
-            if kind != expected_kind:
+            if kind != _EXPECTED_KIND[kind_endgame]:
                 route_mismatches += 1
             if wcols is None and norm is not None and norm[0] in (ctx.gid, ctx.h_gid):
                 # the frame map matched, but its witness misses some image
@@ -788,6 +811,8 @@ def _run_branches(
                 emit_line(f"{kind} {wtext}")
     except BudgetExceeded:
         complete = False
+    for report, uses in reports.values():
+        _tally_checks(tallies, report, uses)
     return {
         "tallies": tallies,
         "counts": counts,

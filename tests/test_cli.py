@@ -288,3 +288,19 @@ def test_broken_constructive_witness_reaches_exit_1(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["embeddings_total"] > 0
     assert payload["witness_failures"] == payload["unclassified"] == payload["embeddings_total"]
+
+
+def test_budget_stopped_run_tallies_every_embedding_once(capsys, monkeypatch):
+    # the memoized chain reports are folded into the tallies after the
+    # loop; a run stopped by its budget must still count each embedding
+    fake_clock(monkeypatch)
+    code, out = run_cli(capsys, ["theorem", "--n", "4", "--budget-secs", "500", "--format", "json"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["complete"] is False
+    chain = payload["lemma_chain"]
+    total = payload["embeddings_total"]
+    assert 0 < total < 80640
+    assert chain["normalize"]["pass"] == total
+    for key, tally in chain.items():
+        assert tally["pass"] + tally["fail"] == total, key

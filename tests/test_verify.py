@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import types
 
 import pytest
 
@@ -100,6 +101,99 @@ def test_soundness_recheck_flags_corruption(ctx4):
     )
     bad[j] = target
     assert not is_valid_embedding(ctx4, tuple(bad))
+
+
+# -- the soundness recheck against an independent pairwise reference ---------
+
+
+def pairwise_recheck(ctx, images) -> bool:
+    """Reference recheck: injectivity, then every code vertex pair."""
+    if len(set(images)) != len(images):
+        return False
+    code_adj = ctx.code.adj
+    full_adj = ctx.full.adj
+    nc = ctx.nc
+    for i in range(nc):
+        row = code_adj[i]
+        for j in range(i + 1, nc):
+            if (row >> j) & 1 and not (full_adj[images[i]] >> images[j]) & 1:
+                return False
+    return True
+
+
+def code_edges(ctx) -> list[tuple[int, int]]:
+    """Code edges (i, j), i < j, read off the code adjacency rows, in the
+    order the recheck visits them."""
+    return [
+        (i, j) for i in range(ctx.nc) for j in range(i + 1, ctx.nc) if ctx.code.is_edge(i, j)
+    ]
+
+
+def moved_off_edge(ctx, images, i, j) -> tuple[int, ...]:
+    """``images`` with images[j] moved to an unused plane not adjacent to
+    images[i], so the code edge {i, j} is lost."""
+    used = set(images)
+    target = next(
+        t for t in range(ctx.full.nv)
+        if t not in used and not (ctx.full.adj[images[i]] >> t) & 1
+    )
+    out = list(images)
+    out[j] = target
+    return tuple(out)
+
+
+def without_full_edge(ctx, a, b):
+    """A view of ``ctx`` whose full graph lacks the one edge {a, b}, so a
+    map sending a code edge onto {a, b} loses exactly that edge."""
+    adj = list(ctx.full.adj)
+    adj[a] &= ~(1 << b)
+    adj[b] &= ~(1 << a)
+    return types.SimpleNamespace(
+        nc=ctx.nc,
+        code=ctx.code,
+        code_later=ctx.code_later,
+        full=types.SimpleNamespace(adj=adj),
+    )
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_edge_table_lists_every_code_edge_once(n):
+    ctx = build_context(n)
+    assert sum(map(len, ctx.code_later)) == ctx.code.edge_count
+    assert all(j > i for i, later in enumerate(ctx.code_later) for j in later)
+    assert [(i, j) for i, later in enumerate(ctx.code_later) for j in later] == code_edges(ctx)
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_recheck_agrees_with_the_pairwise_reference(n):
+    ctx = build_context(n)
+    edges = code_edges(ctx)
+    # the last edge starts at the largest id that has a later neighbour
+    first, last = edges[0], edges[-1]
+    maps = {"gid": ctx.gid, "h_gid": ctx.h_gid}
+    if n == 4:
+        stream = itertools.islice(enumerate_embeddings(4, ctx=ctx), 0, 8000, 40)
+        maps.update((f"stream-{k}", e.images) for k, e in enumerate(stream))
+    for base_name, base in (("gid", ctx.gid), ("h_gid", ctx.h_gid)):
+        collided = list(base)
+        collided[-1] = collided[0]
+        maps[f"{base_name}-collision"] = tuple(collided)
+        for edge_name, (i, j) in (("first", first), ("last", last)):
+            maps[f"{base_name}-lost-{edge_name}"] = moved_off_edge(ctx, base, i, j)
+        swapped = list(base)
+        swapped[first[0]], swapped[last[1]] = swapped[last[1]], swapped[first[0]]
+        maps[f"{base_name}-swapped"] = tuple(swapped)
+    for name, images in maps.items():
+        expected = pairwise_recheck(ctx, images)
+        assert is_valid_embedding(ctx, images) is expected, name
+        assert expected is (name in ("gid", "h_gid") or name.startswith("stream")), name
+    # a map that loses exactly one edge, the first or the last: the target
+    # graph lacks just the image of that edge
+    for i, j in (first, last):
+        for base in (ctx.gid, ctx.h_gid):
+            view = without_full_edge(ctx, base[i], base[j])
+            assert pairwise_recheck(view, base) is False
+            assert is_valid_embedding(view, base) is False
 
 
 def test_stream_is_deterministic(ctx4):
