@@ -1,7 +1,7 @@
 """Grassmann graphs, non-degenerate code graphs, and the exhaustive
 classification of their embeddings, at desk scale over small prime fields."""
 
-from .errors import BudgetExceeded, Falsified, ParameterError
+from .errors import Falsified, ParameterError
 from .fqlinalg import (
     FieldSpec,
     Subspace,

@@ -8,9 +8,9 @@ one documented exception).
 
 Exit codes: 0 success, 1 falsified assertion (a counterexample was
 found), 2 invalid configuration (including an output path that cannot
-be written, a time budget that is not a finite number >= 0 and an
-`aut --direct` outside 1 < k < n-1 or on a full graph of more than
-DIRECT_MAX_VERTICES vertices), 3 budget exhausted.
+be written, a `theorem` size other than n = 4 and an `aut --direct`
+outside 1 < k < n-1 or on a full graph of more than DIRECT_MAX_VERTICES
+vertices).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import Falsified, ParameterError
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_BAD_CONFIG = 2
-EXIT_BUDGET = 3
 
 # the largest full graph aut --direct counts; on a 2-core x86-64 host
 # G(6,2) (651 vertices) takes about 5 s, while G(5,2) over F_3 and
@@ -42,7 +41,6 @@ class RunConfig:
     k: int = 2
     q: int = 2
     format: str = "text"
-    budget_secs: Optional[float] = None
     out: Optional[str] = None
     nondegenerate: bool = False
     direct: bool = False
@@ -88,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem", help="exhaustively certify the classification")
     common(p, k=False, q=False)
-    p.add_argument("--budget-secs", type=float, default=None)
     p.add_argument("--witness-dump", help="write one verdict+witness line per embedding")
     return parser
 
@@ -240,7 +237,7 @@ def _cmd_aut(cfg: RunConfig) -> tuple[dict, list[str], int]:
 
 
 def _cmd_theorem(cfg: RunConfig) -> tuple[dict, list[str], int]:
-    cert = verify.certify_theorem(cfg.n, budget_secs=cfg.budget_secs, witness_dump=cfg.witness_dump)
+    cert = verify.certify_theorem(cfg.n, witness_dump=cfg.witness_dump)
     falsified = (
         cert["unclassified"] > 0
         or cert["soundness_failures"] > 0
@@ -257,13 +254,7 @@ def _cmd_theorem(cfg: RunConfig) -> tuple[dict, list[str], int]:
     ]
     for name, tally in cert["lemma_chain"].items():
         text.append(f"{name}: pass {tally['pass']} fail {tally['fail']}")
-    if falsified:
-        code = EXIT_FALSIFIED
-    elif not cert["complete"]:
-        code = EXIT_BUDGET
-    else:
-        code = EXIT_OK
-    return cert, text, code
+    return cert, text, EXIT_FALSIFIED if falsified else EXIT_OK
 
 
 _COMMANDS = {

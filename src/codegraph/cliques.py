@@ -225,7 +225,7 @@ def enumerate_maximal_cliques(g: CodeGraph) -> list[CliqueClass]:
     """Every maximal clique of g exactly once, classified and in a
     deterministic order (sorted vertex tuples)."""
     if g.nv > 2000:
-        raise ParameterError(f"clique enumeration on {g.nv} vertices exceeds the desk-scale budget")
+        raise ParameterError(f"clique enumeration needs at most 2000 vertices, got {g.nv}")
     masks = maximal_clique_masks(g.adj)
     masks.sort(key=lambda m: tuple(_mask_ids(m)))
     return [classify_clique(g, frozenset(_mask_ids(m))) for m in masks]

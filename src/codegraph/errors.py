@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """Parameters outside the supported desk-scale range."""
 
 
-class BudgetExceeded(RuntimeError):
-    """An exhaustive run hit its wall-clock budget before finishing."""
-
-
 class Falsified(RuntimeError):
     """A certified claim failed on correct inputs.
 

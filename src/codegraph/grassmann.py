@@ -11,12 +11,11 @@ automorphisms alike, lives here too.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from .errors import BudgetExceeded, Falsified, ParameterError
+from .errors import Falsified, ParameterError
 from .fqlinalg import (
     Subspace,
     check_space,
@@ -225,7 +224,6 @@ def backtrack(
     order: list[int],
     domains: list[int],
     induced: bool = False,
-    deadline: Optional[float] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Depth-first enumeration of injective adjacency-preserving maps.
 
@@ -238,8 +236,8 @@ def backtrack(
     preserved too; without it non-adjacent pairs impose nothing, which
     is the not-necessarily-induced-subgraph reading.  Maps are yielded
     as tuples indexed by source vertex, in lexicographic order of the
-    images along ``order``.  Raises BudgetExceeded past ``deadline``
-    (a time.monotonic() value).
+    images along ``order``.  The search reads no clock: a caller that
+    wants fewer maps stops consuming the generator.
     """
     nv = len(src_adj)
     # later[d] / apart[d] are built when a frame first reaches depth d,
@@ -251,7 +249,6 @@ def backtrack(
     mapping = [0] * nv
     # frames: [remaining candidates, used-mask before this level, undo list]
     frames: list[list] = [[cand[order[0]], 0, None]]
-    ticks = 0
     while frames:
         fr = frames[-1]
         if fr[2] is not None:
@@ -262,10 +259,6 @@ def backtrack(
         if not m:
             frames.pop()
             continue
-        if deadline is not None:
-            ticks += 1
-            if not ticks & 0x3FF and time.monotonic() > deadline:
-                raise BudgetExceeded("search stopped at its wall-clock budget")
         b = m & -m
         fr[0] = m ^ b
         d = len(frames) - 1

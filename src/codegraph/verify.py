@@ -14,14 +14,13 @@ certificate instead of failing silently.
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, count
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
-from .errors import BudgetExceeded, Falsified, ParameterError
+from .errors import Falsified, ParameterError
 from .fqlinalg import (
     Subspace,
     bits_to_vec,
@@ -301,7 +300,7 @@ def group_fields(ctx: LemmaContext) -> dict[str, int | bool]:
       of K, so there are order / |K| distinct restrictions; likewise
       order / |K_h| distinct exceptional images.
     - A restriction equals a composite iff some automorphism sends gid
-      to h_gid; that search runs exhaustively, with no deadline.
+      to h_gid; that search runs to its end.
 
     Raises Falsified when the count differs from the generated order or
     an automorphism sends gid to h_gid.
@@ -338,15 +337,11 @@ def group_fields(ctx: LemmaContext) -> dict[str, int | bool]:
 # search
 
 
-def _embeddings(
-    ctx: LemmaContext, order: list[int], roots: Optional[int], deadline: Optional[float]
-) -> Iterator[tuple[int, ...]]:
-    """Image tuples of every embedding whose first vertex in ``order``
-    lands in the bitmask ``roots`` (anywhere when None)."""
+def _embeddings(ctx: LemmaContext, order: list[int]) -> Iterator[tuple[int, ...]]:
+    """Image tuples of every embedding, in lexicographic order of the
+    images along ``order``."""
     domains = [(1 << ctx.full.nv) - 1] * ctx.nc
-    if roots is not None:
-        domains[order[0]] &= roots
-    return backtrack(ctx.code.adj, ctx.full.adj, order, domains, deadline=deadline)
+    return backtrack(ctx.code.adj, ctx.full.adj, order, domains)
 
 
 def _order_for(ctx: LemmaContext, variant: int) -> list[int]:
@@ -356,37 +351,25 @@ def _order_for(ctx: LemmaContext, variant: int) -> list[int]:
     return ctx.search_order
 
 
-def _deadline(budget_secs: Optional[float]) -> Optional[float]:
-    """The time.monotonic() value at which a budget runs out; None for no
-    budget.  Only a finite budget >= 0 is accepted: no clock reading ever
-    passes a nan or infinite deadline, so those would run unbounded."""
-    if budget_secs is None:
-        return None
-    if not (math.isfinite(budget_secs) and budget_secs >= 0):
-        raise ParameterError(f"the time budget must be a finite number >= 0, got {budget_secs}")
-    return time.monotonic() + budget_secs
+def _require_exhaustive(n: int) -> None:
+    """Exhaustive search finishes only at n = 4.  At n = 5 it yields 3072
+    embeddings in about 0.5 s and then none for at least 119 s, in
+    backtrack's static order, so a run there could never complete."""
+    if n != 4:
+        raise ParameterError(f"exhaustive search is supported for n = 4 only, got n = {n}")
 
 
 def enumerate_embeddings(
     n: int,
-    budget_secs: Optional[float] = None,
     ctx: Optional[LemmaContext] = None,
-    first_vertices: Optional[list[int]] = None,
     order_variant: int = 0,
 ) -> Iterator[EmbeddingMap]:
-    """Stream every embedding exactly once in deterministic order.
-
-    Raises BudgetExceeded when the wall-clock budget trips; partial
-    output is never silently truncated.
-    """
-    if n >= 5 and budget_secs is None:
-        raise ParameterError("sizes beyond 4 need an explicit time budget")
+    """Stream every embedding exactly once in deterministic order; only
+    n = 4 is accepted (ParameterError at the call otherwise)."""
+    _require_exhaustive(n)
     if ctx is None:
         ctx = build_context(n)
-    deadline = _deadline(budget_secs)
-    roots = None if first_vertices is None else sum(1 << c for c in set(first_vertices))
-    for images in _embeddings(ctx, _order_for(ctx, order_variant), roots, deadline):
-        yield EmbeddingMap(n, images)
+    return (EmbeddingMap(n, images) for images in _embeddings(ctx, _order_for(ctx, order_variant)))
 
 
 def is_valid_embedding(ctx: LemmaContext, images: tuple[int, ...]) -> bool:
@@ -746,14 +729,12 @@ def _tally_checks(tallies: dict, report: dict, uses: int) -> None:
 
 def _run_branches(
     ctx: LemmaContext,
-    order: list[int],
-    roots: Optional[int],
-    deadline: Optional[float],
+    stream: Iterable[tuple[int, ...]],
     emit_line: Optional[Callable[[str], None]],
 ) -> dict:
-    """Classify the embeddings whose first vertex in ``order`` lands in
-    the bitmask ``roots`` (anywhere when None) and tally them;
-    ``emit_line`` receives one verdict+witness line per valid embedding."""
+    """Classify every image tuple of ``stream`` and tally them;
+    ``emit_line`` receives one verdict+witness line per valid embedding.
+    The loop reads no clock: the caller bounds the stream."""
     tallies = {k: {"pass": 0, "fail": 0} for k in LEMMA_KEYS}
     counts = {"total": 0, "extendable": 0, "exceptional": 0, "unclassified": 0}
     soundness_failures = 0
@@ -763,54 +744,47 @@ def _run_branches(
     # uses.  lemma_chain reads only ctx tables and emb.images, so equal
     # tuples give equal reports, and adding a report's checks once per use
     # after the loop gives the same totals as adding them per embedding.
-    # The fold sits after the try, so a budget-stopped pass folds too.  A
-    # report is kept only when its endgame matched, i.e. the tuple is
+    # A report is kept only when its endgame matched, i.e. the tuple is
     # ctx.gid or ctx.h_gid, so at most two are held; any other tuple is a
     # would-be counterexample, gets the full chain every time and is
     # tallied at once.
     reports: dict[tuple[int, ...], list] = {}
-    complete = True
-    try:
-        for images in _embeddings(ctx, order, roots, deadline):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded("classification stopped at its wall-clock budget")
-            counts["total"] += 1
-            if not is_valid_embedding(ctx, images):
-                soundness_failures += 1
-                continue
-            norm = None
-            try:
-                norm = _normalize_ids(ctx, images)
-                tallies["normalize"]["pass"] += 1
-            except Falsified:
-                tallies["normalize"]["fail"] += 1
-            kind_endgame = None
-            if norm is not None:
-                entry = reports.get(norm[0])
-                if entry is not None:
-                    entry[1] += 1
-                    report = entry[0]
+    for images in stream:
+        counts["total"] += 1
+        if not is_valid_embedding(ctx, images):
+            soundness_failures += 1
+            continue
+        norm = None
+        try:
+            norm = _normalize_ids(ctx, images)
+            tallies["normalize"]["pass"] += 1
+        except Falsified:
+            tallies["normalize"]["fail"] += 1
+        kind_endgame = None
+        if norm is not None:
+            entry = reports.get(norm[0])
+            if entry is not None:
+                entry[1] += 1
+                report = entry[0]
+            else:
+                report = lemma_chain(ctx, EmbeddingMap(ctx.n, norm[0]))
+                if report["endgame_kind"] is not None:
+                    reports[norm[0]] = [report, 1]
                 else:
-                    report = lemma_chain(ctx, EmbeddingMap(ctx.n, norm[0]))
-                    if report["endgame_kind"] is not None:
-                        reports[norm[0]] = [report, 1]
-                    else:
-                        _tally_checks(tallies, report, 1)
-                kind_endgame = report["endgame_kind"]
-            kind, wcols, dual = _classify_ids(ctx, images, norm)
-            counts[kind] += 1
-            # the two routes must agree: constructive verdict vs endgame
-            if kind != _EXPECTED_KIND[kind_endgame]:
-                route_mismatches += 1
-            if wcols is None and norm is not None and norm[0] in (ctx.gid, ctx.h_gid):
-                # the frame map matched, but its witness misses some image
-                witness_failures += 1
-            if emit_line is not None:
-                # wcols already reproduced every image, so it is invertible
-                wtext = "-" if wcols is None else matrix_inline_text(cols_bits_to_rows(wcols, ctx.n), dual)
-                emit_line(f"{kind} {wtext}")
-    except BudgetExceeded:
-        complete = False
+                    _tally_checks(tallies, report, 1)
+            kind_endgame = report["endgame_kind"]
+        kind, wcols, dual = _classify_ids(ctx, images, norm)
+        counts[kind] += 1
+        # the two routes must agree: constructive verdict vs endgame
+        if kind != _EXPECTED_KIND[kind_endgame]:
+            route_mismatches += 1
+        if wcols is None and norm is not None and norm[0] in (ctx.gid, ctx.h_gid):
+            # the frame map matched, but its witness misses some image
+            witness_failures += 1
+        if emit_line is not None:
+            # wcols already reproduced every image, so it is invertible
+            wtext = "-" if wcols is None else matrix_inline_text(cols_bits_to_rows(wcols, ctx.n), dual)
+            emit_line(f"{kind} {wtext}")
     for report, uses in reports.values():
         _tally_checks(tallies, report, uses)
     return {
@@ -819,36 +793,26 @@ def _run_branches(
         "soundness_failures": soundness_failures,
         "witness_failures": witness_failures,
         "route_mismatches": route_mismatches,
-        "complete": complete,
     }
 
 
-def certify_theorem(
-    n: int,
-    budget_secs: Optional[float] = None,
-    order_variant: int = 0,
-    witness_dump: Optional[str] = None,
-) -> dict:
+def certify_theorem(n: int, order_variant: int = 0, witness_dump: Optional[str] = None) -> dict:
     """Classify every embedding at size n and aggregate a certificate.
 
-    The certificate is deterministic for complete runs; budget-limited
-    runs are marked non-conclusive.  The witness dump is written line
-    by line as embeddings are classified.
+    Only n = 4 is accepted (see ``_require_exhaustive``).  The
+    certificate is deterministic apart from wall_ms.  The witness dump
+    is written line by line as embeddings are classified.
     """
-    if n not in (4, 5):
-        raise ParameterError("exhaustive certification is supported for n in {4, 5}")
-    if n == 5 and budget_secs is None:
-        raise ParameterError("the n = 5 search space needs an explicit time budget")
+    _require_exhaustive(n)
     ctx = build_context(n)
-    fields = group_fields(ctx) if n == 4 else {}
+    fields = group_fields(ctx)
     # the clock covers certification only, not the cached context build
     # or the group fields
     t0 = time.monotonic()
-    deadline = _deadline(budget_secs)
     dump = open(witness_dump, "w", encoding="utf-8") if witness_dump is not None else nullcontext()
     with dump as fh:
         emit_line = _numbered_writer(fh) if fh is not None else None
-        res = _run_branches(ctx, _order_for(ctx, order_variant), None, deadline, emit_line)
+        res = _run_branches(ctx, _embeddings(ctx, _order_for(ctx, order_variant)), emit_line)
     counts = res["counts"]
     cert = {
         "n": n,
@@ -864,6 +828,7 @@ def certify_theorem(
         "route_mismatches": res["route_mismatches"],
     }
     cert.update(fields)
-    cert["complete"] = res["complete"]
+    # a constant: the byte-stable payload and perfbench's oracle keep "complete": true
+    cert["complete"] = True
     cert["wall_ms"] = int((time.monotonic() - t0) * 1000)
     return cert

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,17 @@ def certificate4_with_dump(ctx4, tmp_path_factory):
 def certificate4(certificate4_with_dump):
     """The exhaustive n=4 certificate, computed once and shared."""
     return certificate4_with_dump[0]
+
+
+@pytest.fixture
+def bound_stream(monkeypatch):
+    """Cut the exhaustive embedding stream to its first ``size`` maps, so
+    a certification run ends after a fixed amount of work on any host."""
+    from codegraph import verify
+
+    real = verify._embeddings
+
+    def bound(size: int) -> None:
+        monkeypatch.setattr(verify, "_embeddings", lambda ctx, order: itertools.islice(real(ctx, order), size))
+
+    return bound

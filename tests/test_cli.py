@@ -1,16 +1,18 @@
-import itertools
 import json
-import types
 
 import pytest
 
-from codegraph import cli, grassmann, hmap, verify
+from codegraph import cli, hmap, verify
 from codegraph.fqlinalg import rref
 
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
     return code, capsys.readouterr().out
+
+
+# a bounded run certifies the first PREFIX embeddings of the n = 4 stream
+PREFIX = 1000
 
 
 def test_enum_block_count(capsys):
@@ -130,7 +132,7 @@ def test_invalid_config_exit_2(capsys):
     [
         ["graph", "--n", "4", "--out", "{missing}/report.txt"],
         ["graph", "--n", "4", "--export", "{missing}/g.adj"],
-        ["theorem", "--n", "4", "--budget-secs", "0", "--witness-dump", "{missing}/w.txt"],
+        ["theorem", "--n", "4", "--witness-dump", "{missing}/w.txt"],
     ],
     ids=["out", "export", "witness-dump"],
 )
@@ -141,9 +143,22 @@ def test_unwritable_output_path_exit_2(tmp_path, capsys, argv):
     assert "invalid configuration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
-def test_budget_that_cannot_end_a_run_exit_2(capsys, budget):
-    code = cli.main(["theorem", "--n", "4", "--budget-secs", budget])
+def test_theorem_budget_flag_is_a_usage_error():
+    # the search reads no clock, so there is no budget to pass
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["theorem", "--n", "4", "--budget-secs", "1"])
+    assert exc.value.code == 2
+
+
+def test_theorem_n5_exit_2_before_any_search(capsys, monkeypatch):
+    # the exhaustive search stalls at n = 5, so the run is refused
+    # before a context is built or a search starts
+    def no_search(*args, **kwargs):
+        raise AssertionError("no search may start")
+
+    monkeypatch.setattr(verify, "build_context", no_search)
+    monkeypatch.setattr(verify, "backtrack", no_search)
+    code = cli.main(["theorem", "--n", "5"])
     assert code == 2
     assert "invalid configuration" in capsys.readouterr().err
 
@@ -165,15 +180,6 @@ def test_theorem_full_run_exit_0(tmp_path, capsys, certificate4):
     verdicts = [parts[1] for parts in lines]
     for kind in ("extendable", "exceptional", "unclassified"):
         assert verdicts.count(kind) == payload[kind]
-
-
-def test_theorem_budget_exit_3(capsys):
-    code, out = run_cli(
-        capsys, ["theorem", "--n", "4", "--budget-secs", "0", "--format", "json"]
-    )
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["complete"] is False
 
 
 def test_injected_adjacency_fault_reaches_exit_1(capsys, monkeypatch):
@@ -231,9 +237,10 @@ def test_machine_output_is_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_theorem_json_deterministic_modulo_wall_ms(capsys):
+def test_theorem_json_deterministic_modulo_wall_ms(capsys, bound_stream):
     # wall-clock timing is the documented exception to byte stability
-    argv = ["theorem", "--n", "4", "--budget-secs", "0", "--format", "json"]
+    bound_stream(PREFIX)
+    argv = ["theorem", "--n", "4", "--format", "json"]
     code1, out1 = run_cli(capsys, argv)
     code2, out2 = run_cli(capsys, argv)
 
@@ -245,36 +252,22 @@ def test_theorem_json_deterministic_modulo_wall_ms(capsys):
     assert strip_wall(out1) == strip_wall(out2)
 
 
-def fake_clock(monkeypatch):
-    """A clock that advances by one at every reading, so a budget runs out
-    after a fixed amount of work whatever the host's speed."""
-    ticks = itertools.count()
-    clock = types.SimpleNamespace(monotonic=lambda: float(next(ticks)))
-    monkeypatch.setattr(verify, "time", clock)
-    monkeypatch.setattr(grassmann, "time", clock)
-
-
-def test_witness_dump(tmp_path, capsys, monkeypatch):
-    fake_clock(monkeypatch)
+def test_witness_dump(tmp_path, capsys, bound_stream):
+    bound_stream(PREFIX)
     dump = tmp_path / "witnesses.txt"
     code, out = run_cli(
-        capsys,
-        ["theorem", "--n", "4", "--budget-secs", "500", "--format", "json",
-         "--witness-dump", str(dump)],
+        capsys, ["theorem", "--n", "4", "--format", "json", "--witness-dump", str(dump)]
     )
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["complete"] is False
-    total = payload["embeddings_total"]
-    assert 0 < total < 80640
+    assert code == 0
+    assert json.loads(out)["embeddings_total"] == PREFIX
     lines = [line.split() for line in dump.read_text().splitlines()]
-    assert [int(parts[0]) for parts in lines] == list(range(total))
+    assert [int(parts[0]) for parts in lines] == list(range(PREFIX))
     assert all(parts[1] in ("extendable", "exceptional") for parts in lines)
 
 
-def test_broken_constructive_witness_reaches_exit_1(capsys, monkeypatch):
+def test_broken_constructive_witness_reaches_exit_1(capsys, monkeypatch, bound_stream):
     # fault: every inverse the constructive route uses is corrupted, so
-    # no witness reproduces its embedding; the fake clock ends the run
+    # no witness reproduces its embedding
     real = verify._normalize_ids
 
     def corrupted(ctx, images):
@@ -282,25 +275,23 @@ def test_broken_constructive_witness_reaches_exit_1(capsys, monkeypatch):
         return fp, cols, (inv_cols[0] ^ inv_cols[1],) + inv_cols[1:], dual
 
     monkeypatch.setattr(verify, "_normalize_ids", corrupted)
-    fake_clock(monkeypatch)
-    code, out = run_cli(capsys, ["theorem", "--n", "4", "--budget-secs", "500", "--format", "json"])
+    bound_stream(PREFIX)
+    code, out = run_cli(capsys, ["theorem", "--n", "4", "--format", "json"])
     assert code == 1
     payload = json.loads(out)
-    assert payload["embeddings_total"] > 0
-    assert payload["witness_failures"] == payload["unclassified"] == payload["embeddings_total"]
+    assert payload["embeddings_total"] == PREFIX
+    assert payload["witness_failures"] == payload["unclassified"] == PREFIX
 
 
-def test_budget_stopped_run_tallies_every_embedding_once(capsys, monkeypatch):
+def test_bounded_run_tallies_every_embedding_once(capsys, bound_stream):
     # the memoized chain reports are folded into the tallies after the
-    # loop; a run stopped by its budget must still count each embedding
-    fake_clock(monkeypatch)
-    code, out = run_cli(capsys, ["theorem", "--n", "4", "--budget-secs", "500", "--format", "json"])
-    assert code == 3
+    # loop; a run over a bounded stream must still count each embedding
+    bound_stream(PREFIX)
+    code, out = run_cli(capsys, ["theorem", "--n", "4", "--format", "json"])
+    assert code == 0
     payload = json.loads(out)
-    assert payload["complete"] is False
     chain = payload["lemma_chain"]
     total = payload["embeddings_total"]
-    assert 0 < total < 80640
-    assert chain["normalize"]["pass"] == total
+    assert total == chain["normalize"]["pass"] == PREFIX
     for key, tally in chain.items():
         assert tally["pass"] + tally["fail"] == total, key

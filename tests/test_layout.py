@@ -1,7 +1,9 @@
 """Module layout rules for the package source.
 
 No module imports a private (underscore-prefixed) name from another
-module of the package: a name another module needs is public.
+module of the package: a name another module needs is public.  Only
+``verify`` reads the clock, for the certificate's wall_ms, so no
+deadline can creep back into the search core.
 """
 
 import ast
@@ -46,3 +48,31 @@ def test_the_rule_sees_relative_and_absolute_private_imports(tmp_path):
         "from os.path import _get_sep\n"
     )
     assert private_imports(probe) == ["probe.py: verify._solve_cols", "probe.py: codegraph.autgroup._mat_inv"]
+
+
+def imports_time(path: Path) -> bool:
+    """Whether the file imports the ``time`` module or a name from it."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "time" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "time":
+            return True
+    return False
+
+
+def test_only_verify_imports_time():
+    clocked = [path.name for path in sorted(SRC.glob("*.py")) if imports_time(path)]
+    assert clocked == ["verify.py"]
+
+
+def test_the_rule_sees_every_form_of_time_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    for line, hit in (
+        ("import time", True),
+        ("import os, time as clock", True),
+        ("from time import monotonic", True),
+        ("from .time import x", False),
+        ("import timeit", False),
+    ):
+        probe.write_text(line + "\n")
+        assert imports_time(probe) is hit, line

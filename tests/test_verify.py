@@ -6,7 +6,7 @@ import types
 import pytest
 
 import codegraph.verify as verify
-from codegraph.errors import BudgetExceeded, Falsified, ParameterError
+from codegraph.errors import Falsified, ParameterError
 from codegraph.autgroup import (
     GraphAutomorphism,
     apply,
@@ -16,6 +16,7 @@ from codegraph.autgroup import (
     vertex_permutation,
 )
 from codegraph.fqlinalg import rank_bits
+from codegraph.grassmann import backtrack
 from codegraph.hmap import line_support, special_frame
 from codegraph.verify import (
     EmbeddingMap,
@@ -206,30 +207,12 @@ def test_stream_is_deterministic(ctx4):
 
 def test_h_appears_in_its_branch(ctx4):
     order = _order_for(ctx4, 0)
-    branch = ctx4.h_gid[order[0]]
-    found = any(
-        e.images == ctx4.h_gid
-        for e in enumerate_embeddings(4, ctx=ctx4, first_vertices=[branch])
-    )
-    assert found
+    domains = [(1 << ctx4.full.nv) - 1] * ctx4.nc
+    domains[order[0]] = 1 << ctx4.h_gid[order[0]]
+    assert ctx4.h_gid in backtrack(ctx4.code.adj, ctx4.full.adj, order, domains)
 
 
-def test_enumerate_budget_exhaustion(ctx4):
-    stream = enumerate_embeddings(4, budget_secs=0.0, ctx=ctx4)
-    with pytest.raises(BudgetExceeded):
-        for _ in stream:
-            pass
-
-
-@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
-def test_budget_that_cannot_end_a_run_is_rejected(budget):
-    with pytest.raises(ParameterError):
-        next(iter(enumerate_embeddings(5, budget_secs=budget)))
-
-
-def test_wall_ms_covers_certification_only(ctx4, monkeypatch):
-    import codegraph.verify as verify
-
+def test_wall_ms_covers_certification_only(ctx4, monkeypatch, bound_stream):
     real = verify.build_context
 
     def slow_build_context(*args, **kwargs):
@@ -237,8 +220,9 @@ def test_wall_ms_covers_certification_only(ctx4, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify, "build_context", slow_build_context)
-    cert = certify_theorem(4, budget_secs=0.0)
-    assert cert["complete"] is False
+    bound_stream(100)
+    cert = certify_theorem(4)
+    assert cert["embeddings_total"] == 100
     assert cert["wall_ms"] < 500
 
 
@@ -465,17 +449,11 @@ def test_constructive_route_recovers_sampled_group_elements(ctx4):
             assert comp.verdict == "exceptional" and comp.witness == a
 
 
-def test_certify_small_budget_is_partial():
-    cert = certify_theorem(4, budget_secs=0.0)
-    assert cert["complete"] is False
-    assert cert["unclassified"] == 0
-
-
 def test_certify_rejects_unsupported_n():
     with pytest.raises(ParameterError):
         certify_theorem(6)
     with pytest.raises(ParameterError):
-        certify_theorem(5)  # needs an explicit budget
+        certify_theorem(5)  # the exhaustive search stalls at n = 5
     with pytest.raises(ParameterError):
         next(iter(enumerate_embeddings(5)))
 
@@ -497,11 +475,14 @@ def test_n5_constructive_classification():
 
 
 def test_n5_partial_run_smoke():
-    cert = certify_theorem(5, budget_secs=349 / 1000)
-    assert cert["n"] == 5
-    assert cert["complete"] is False
-    assert cert["unclassified"] == 0
-    assert all(v["fail"] == 0 for v in cert["lemma_chain"].values())
+    # the 3072 embeddings the n = 5 search yields before it stalls
+    ctx5 = build_context(5)
+    stream = itertools.islice(verify._embeddings(ctx5, ctx5.search_order), 3072)
+    res = verify._run_branches(ctx5, stream, None)
+    assert res["counts"] == {"total": 3072, "extendable": 1536, "exceptional": 1536, "unclassified": 0}
+    assert res["soundness_failures"] == res["witness_failures"] == res["route_mismatches"] == 0
+    for key in LEMMA_KEYS:
+        assert res["tallies"][key] == {"pass": 3072, "fail": 0}, key
 
 
 def test_embedding_map_invariants_on_stream(ctx4):
@@ -551,9 +532,19 @@ def test_certificate_invariant_across_orders(certificate4):
 # -- the invariant-chain memo inside the certification loop -----------------
 
 
+# at n = 4 the stream's first 2304 embeddings are those that send the
+# first vertex in order to full vertex 0
+ROOT_BRANCH = 2304
+
+
+def root_branch(ctx):
+    """Image tuples of the stream's first ROOT_BRANCH embeddings."""
+    return itertools.islice(verify._embeddings(ctx, ctx.search_order), ROOT_BRANCH)
+
+
 def run_root_branch(ctx):
-    """The certification loop on root branch 0 (2304 embeddings at n = 4)."""
-    return verify._run_branches(ctx, ctx.search_order, 1 << 0, None, None)
+    """The certification loop on root branch 0."""
+    return verify._run_branches(ctx, root_branch(ctx), None)
 
 
 def counting_lemma_chain(monkeypatch, alter=None):
@@ -574,7 +565,7 @@ def test_memo_runs_the_chain_once_per_tuple_and_tallies_every_embedding(ctx4, mo
     assert len(calls) == 2
     assert sorted(calls) == sorted([ctx4.gid, ctx4.h_gid])
     total = res["counts"]["total"]
-    assert total == 2304 and res["soundness_failures"] == 0
+    assert total == ROOT_BRANCH and res["soundness_failures"] == 0
     for key in LEMMA_KEYS:
         assert res["tallies"][key]["pass"] + res["tallies"][key]["fail"] == total
         assert res["tallies"][key]["fail"] == 0
@@ -623,9 +614,7 @@ def test_memo_reruns_the_chain_for_every_would_be_counterexample(ctx4, monkeypat
     )
     calls = counting_lemma_chain(monkeypatch)
     res = run_root_branch(ctx4)
-    stream = [
-        fault(ctx4, e.images) for e in enumerate_embeddings(4, ctx=ctx4, first_vertices=[0])
-    ]
+    stream = [fault(ctx4, images) for images in root_branch(ctx4)]
     frame_maps = {ctx4.gid, ctx4.h_gid}
     others = sum(1 for fp in stream if fp not in frame_maps)
     assert others > 0
@@ -642,8 +631,7 @@ def test_witness_failures_count_every_broken_constructive_witness(ctx4, monkeypa
             inv_cols = (inv_cols[0] ^ inv_cols[1],) + inv_cols[1:]
         return fp, cols, inv_cols, dual
 
-    stream = enumerate_embeddings(4, ctx=ctx4, first_vertices=[0])
-    affected = sum(_normalize_ids(ctx4, e.images)[3] for e in stream)
+    affected = sum(_normalize_ids(ctx4, images)[3] for images in root_branch(ctx4))
     monkeypatch.setattr(verify, "_normalize_ids", corrupted)
     res = run_root_branch(ctx4)
     assert 0 < affected < res["counts"]["total"]
