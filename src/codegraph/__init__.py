@@ -45,7 +45,6 @@ from .autgroup import (
 from .verify import (
     EmbeddingMap,
     LemmaContext,
-    PointMap,
     build_context,
     certify_theorem,
     classify,

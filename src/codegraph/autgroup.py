@@ -232,14 +232,8 @@ class GroupHandle:
     order: int
     _factory: Callable[[], Iterator[GraphAutomorphism]]
 
-    def elements(self) -> Iterator[GraphAutomorphism]:
-        return self._factory()
-
     def __iter__(self) -> Iterator[GraphAutomorphism]:
-        return self.elements()
-
-    def __len__(self) -> int:
-        return self.order
+        return self._factory()
 
 
 def grassmann_aut_group(n: int, k: int, q: int) -> GroupHandle:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import autgroup, cliques, fqlinalg, grassmann, hmap, verify
@@ -32,20 +31,6 @@ EXIT_BAD_CONFIG = 2
 # G(6,2) (651 vertices) takes about 5 s, while G(5,2) over F_3 and
 # G(6,3) (1210 and 1395 vertices) would take 16-21 s
 DIRECT_MAX_VERTICES = 1000
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 0
-    k: int = 2
-    q: int = 2
-    format: str = "text"
-    out: Optional[str] = None
-    nondegenerate: bool = False
-    direct: bool = False
-    export: Optional[str] = None
-    witness_dump: Optional[str] = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,24 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for name in vars(ns):
-        if name != "command" and hasattr(cfg, name):
-            setattr(cfg, name, getattr(ns, name))
-    return cfg
+def _kind(ns: argparse.Namespace) -> str:
+    return grassmann.KIND_NONDEGENERATE if ns.nondegenerate else grassmann.KIND_FULL
 
 
-def _kind(cfg: RunConfig) -> str:
-    return grassmann.KIND_NONDEGENERATE if cfg.nondegenerate else grassmann.KIND_FULL
-
-
-def _cmd_enum(cfg: RunConfig) -> tuple[dict, list[str], int]:
-    subs = fqlinalg.enumerate_subspaces(cfg.n, cfg.k, cfg.q)
+def _cmd_enum(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
+    subs = fqlinalg.enumerate_subspaces(ns.n, ns.k, ns.q)
     payload = {
-        "n": cfg.n,
-        "k": cfg.k,
-        "q": cfg.q,
+        "n": ns.n,
+        "k": ns.k,
+        "q": ns.q,
         "count": len(subs),
         "subspaces": [[fqlinalg.vector_text(r) for r in s.rows] for s in subs],
     }
@@ -115,8 +92,8 @@ def _cmd_enum(cfg: RunConfig) -> tuple[dict, list[str], int]:
     return payload, text, EXIT_OK
 
 
-def _cmd_graph(cfg: RunConfig) -> tuple[dict, list[str], int]:
-    g = grassmann.build_graph(cfg.n, cfg.k, cfg.q, _kind(cfg))
+def _cmd_graph(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
+    g = grassmann.build_graph(ns.n, ns.k, ns.q, _kind(ns))
     comps = grassmann.connected_components(g)
     payload = {
         "n": g.n,
@@ -136,17 +113,17 @@ def _cmd_graph(cfg: RunConfig) -> tuple[dict, list[str], int]:
     ]
     if g.complete_regime:
         text.append("complete graph regime (k is 1 or n-1)")
-    if cfg.export:
-        with open(cfg.export, "w", encoding="utf-8") as fh:
+    if ns.export:
+        with open(ns.export, "w", encoding="utf-8") as fh:
             fh.write(grassmann.graph_export_text(g) + "\n")
-        with open(cfg.export + ".vertices", "w", encoding="utf-8") as fh:
+        with open(ns.export + ".vertices", "w", encoding="utf-8") as fh:
             fh.write(grassmann.vertex_sidecar_text(g) + "\n")
-        text.append(f"export written to {cfg.export}")
+        text.append(f"export written to {ns.export}")
     return payload, text, EXIT_OK
 
 
-def _cmd_cliques(cfg: RunConfig) -> tuple[dict, list[str], int]:
-    g = grassmann.build_graph(cfg.n, cfg.k, cfg.q, _kind(cfg))
+def _cmd_cliques(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
+    g = grassmann.build_graph(ns.n, ns.k, ns.q, _kind(ns))
     found = cliques.enumerate_maximal_cliques(g)
     counts = {"star": 0, "top": 0, "neither": 0, "star+top": 0}
     for c in found:
@@ -185,8 +162,8 @@ def _cmd_cliques(cfg: RunConfig) -> tuple[dict, list[str], int]:
     return payload, text, EXIT_FALSIFIED if falsified else EXIT_OK
 
 
-def _cmd_hmap_verify(cfg: RunConfig) -> tuple[dict, list[str], int]:
-    report = hmap.verify_h(cfg.n)
+def _cmd_hmap_verify(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
+    report = hmap.verify_h(ns.n)
     text = [
         f"collapse map at n={report['n']}: vertices {report['vertices']} "
         f"A={report['class_sizes']['A']} B={report['class_sizes']['B']} C={report['class_sizes']['C']}"
@@ -198,13 +175,13 @@ def _cmd_hmap_verify(cfg: RunConfig) -> tuple[dict, list[str], int]:
     return report, text, EXIT_OK if report["passed"] else EXIT_FALSIFIED
 
 
-def _cmd_aut(cfg: RunConfig) -> tuple[dict, list[str], int]:
-    gg = autgroup.grassmann_aut_group(cfg.n, cfg.k, cfg.q)
-    cg = autgroup.code_graph_aut_group(cfg.n, cfg.k, cfg.q)
+def _cmd_aut(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
+    gg = autgroup.grassmann_aut_group(ns.n, ns.k, ns.q)
+    cg = autgroup.code_graph_aut_group(ns.n, ns.k, ns.q)
     payload = {
-        "n": cfg.n,
-        "k": cfg.k,
-        "q": cfg.q,
+        "n": ns.n,
+        "k": ns.k,
+        "q": ns.q,
         "grassmann_aut_order": gg.order,
         "code_graph_aut_order": cg.order,
     }
@@ -213,16 +190,16 @@ def _cmd_aut(cfg: RunConfig) -> tuple[dict, list[str], int]:
         f"generated automorphisms of the code graph: {cg.order} ({cg.description})",
     ]
     code = EXIT_OK
-    if cfg.direct:
+    if ns.direct:
         # the generated groups are Aut only for 1 < k < n-1; the chain
         # count's cost grows with the full graph's vertex count
-        if not 1 < cfg.k < cfg.n - 1:
-            raise ParameterError(f"--direct needs 1 < k < n-1, got k={cfg.k}, n={cfg.n}")
-        nv = fqlinalg.gaussian_binomial(cfg.n, cfg.k, cfg.q)
+        if not 1 < ns.k < ns.n - 1:
+            raise ParameterError(f"--direct needs 1 < k < n-1, got k={ns.k}, n={ns.n}")
+        nv = fqlinalg.gaussian_binomial(ns.n, ns.k, ns.q)
         if nv > DIRECT_MAX_VERTICES:
             raise ParameterError(f"--direct needs at most {DIRECT_MAX_VERTICES} full-graph vertices, got {nv}")
-        gfull = grassmann.build_graph(cfg.n, cfg.k, cfg.q, grassmann.KIND_FULL)
-        gnd = grassmann.build_graph(cfg.n, cfg.k, cfg.q, grassmann.KIND_NONDEGENERATE)
+        gfull = grassmann.build_graph(ns.n, ns.k, ns.q, grassmann.KIND_FULL)
+        gnd = grassmann.build_graph(ns.n, ns.k, ns.q, grassmann.KIND_NONDEGENERATE)
         direct_full, _ = autgroup.graph_automorphisms(gfull)
         direct_code, _ = autgroup.graph_automorphisms(gnd)
         payload["direct_full"] = direct_full
@@ -236,8 +213,8 @@ def _cmd_aut(cfg: RunConfig) -> tuple[dict, list[str], int]:
     return payload, text, code
 
 
-def _cmd_theorem(cfg: RunConfig) -> tuple[dict, list[str], int]:
-    cert = verify.certify_theorem(cfg.n, witness_dump=cfg.witness_dump)
+def _cmd_theorem(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
+    cert = verify.certify_theorem(ns.n, witness_dump=ns.witness_dump)
     falsified = (
         cert["unclassified"] > 0
         or cert["soundness_failures"] > 0
@@ -267,16 +244,16 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def run(ns: argparse.Namespace) -> int:
     """Execute one command and write its report; returns the exit code."""
-    payload, text, code = _COMMANDS[cfg.command](cfg)
+    payload, text, code = _COMMANDS[ns.command](ns)
     body = (
         json.dumps(payload, indent=2) + "\n"
-        if cfg.format == "json"
+        if ns.format == "json"
         else "\n".join(text) + "\n"
     )
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)
@@ -287,8 +264,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = _config(ns)
-        return run(cfg)
+        return run(ns)
     except (ParameterError, OSError) as exc:
         # OSError: an --out, --export or --witness-dump path that cannot be written
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -51,26 +51,19 @@ def top(y: Subspace, restrict: bool = False) -> set[Subspace]:
     return out
 
 
-def star_criterion(x: Subspace, n: int | None = None, k: int | None = None, q: int | None = None) -> bool:
+def star_criterion(x: Subspace) -> bool:
     """Predict whether the non-degenerate part of the star over x is a
     maximal clique of the code graph, without enumerating cliques.
 
     For q >= 3 this always holds; for q = 2 it holds exactly when the
     number of coordinate hyperplanes containing x (the all-zero columns
-    of its basis) is at most n - k - 1.
+    of its basis) is at most n - k - 1, where k = x.k + 1 is the
+    dimension of the star's members.
     """
-    if n is not None and n != x.n:
-        raise ParameterError("n disagrees with the subspace")
-    if q is not None and q != x.q:
-        raise ParameterError("q disagrees with the subspace")
-    if k is None:
-        k = x.k + 1
-    if k != x.k + 1:
-        raise ParameterError("star centers must have dimension k - 1")
     if x.q >= 3:
         return True
     zero_cols = sum(1 for j in range(x.n) if not any(row[j] for row in x.rows))
-    return zero_cols <= x.n - k - 1
+    return zero_cols <= x.n - x.k - 2
 
 
 @dataclass(frozen=True)

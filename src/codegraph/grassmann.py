@@ -83,9 +83,6 @@ class CodeGraph:
         """k = 1 or k = n - 1, where the ambient graph is complete."""
         return self.k in (1, self.n - 1)
 
-    def vertex_id(self, x: Subspace) -> int:
-        return self.index[x]
-
     def is_edge(self, i: int, j: int) -> bool:
         return bool((self.adj[i] >> j) & 1)
 

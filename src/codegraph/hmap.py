@@ -99,8 +99,14 @@ def abc_partition(g: CodeGraph) -> AbcPartition:
     return AbcPartition(frozenset(a), frozenset(b), frozenset(c))
 
 
-def in_c_class(x: Subspace, frame: SpecialFrame | None = None) -> bool:
-    """Membership in the third partition class, decided two ways.
+def in_c_class(x: Subspace) -> bool:
+    """Membership in the third partition class, decided two ways (see
+    ``_c_decomposition``)."""
+    return _c_decomposition(x) is not None
+
+
+def _c_decomposition(x: Subspace) -> tuple[frozenset[int], frozenset[int], frozenset[int]] | None:
+    """(T, I, J) for a C-class code, None for any other code.
 
     The set-theoretic reading (does not contain Q, not inside H) and the
     structural reading (exactly one of the three lines inside H, the two
@@ -108,22 +114,21 @@ def in_c_class(x: Subspace, frame: SpecialFrame | None = None) -> bool:
     agree; disagreement would mean the canonical representation is
     broken, so it raises instead of guessing.
     """
-    if frame is None:
-        frame = special_frame(x.n)
     if x.k != 2 or x.q != 2:
         raise ParameterError("class membership is defined for 2-dimensional binary codes")
+    frame = special_frame(x.n)
     settheoretic = (
         is_nondegenerate(x)
         and not x.contains(frame.Q)
         and not frame.H.contains(x)
     )
-    structural = _structural_c_decomposition(x, frame) is not None
-    if settheoretic != structural:
+    structural = _structural_c_decomposition(x, frame)
+    if settheoretic != (structural is not None):
         raise Falsified(
             f"class-C membership disagreement on {x.inline_text()}: "
-            f"set-theoretic={settheoretic}, structural={structural}"
+            f"set-theoretic={settheoretic}, structural={structural is not None}"
         )
-    return settheoretic
+    return structural
 
 
 def _structural_c_decomposition(
@@ -152,27 +157,16 @@ def _structural_c_decomposition(
     return (t, sup_i, sup_j)
 
 
-def complement_code(x: Subspace, frame: SpecialFrame | None = None) -> Subspace:
+def complement_code(x: Subspace) -> Subspace:
     """The degenerate companion of a C-class code.
 
     With the two lines outside H supported on I and J, the companion is
     the span of their complement-support twins; it lies inside H, misses
     the non-degenerate graph, and meets x exactly in their common line.
     """
-    if frame is None:
-        frame = special_frame(x.n)
-    if not in_c_class(x, frame):
+    if not in_c_class(x):
         raise ParameterError(f"{x.inline_text()} is not in the C class")
-    t, sup_i, sup_j = _structural_c_decomposition(x, frame)
-    comp = subspace_sum(p_copoint(sup_i, x.n), p_copoint(sup_j, x.n))
-    # postconditions from the construction
-    if not frame.H.contains(comp):
-        raise Falsified("companion escaped the hyperplane")
-    if is_nondegenerate(comp):
-        raise Falsified("companion is unexpectedly non-degenerate")
-    if intersect(x, comp) != p_copoint(sup_i & sup_j, x.n):
-        raise Falsified("companion meets x in the wrong line")
-    return comp
+    return h_map(x)
 
 
 def h_map(x: Subspace) -> Subspace:
@@ -181,10 +175,19 @@ def h_map(x: Subspace) -> Subspace:
         raise ParameterError("the map is defined on 2-dimensional binary codes")
     if not is_nondegenerate(x):
         raise ParameterError(f"{x.inline_text()} is degenerate")
-    frame = special_frame(x.n)
-    if in_c_class(x, frame):
-        return complement_code(x, frame)
-    return x
+    decomposition = _c_decomposition(x)
+    if decomposition is None:
+        return x
+    _, sup_i, sup_j = decomposition
+    comp = subspace_sum(p_copoint(sup_i, x.n), p_copoint(sup_j, x.n))
+    # postconditions from the construction
+    if not special_frame(x.n).H.contains(comp):
+        raise Falsified("companion escaped the hyperplane")
+    if is_nondegenerate(comp):
+        raise Falsified("companion is unexpectedly non-degenerate")
+    if intersect(x, comp) != p_copoint(sup_i & sup_j, x.n):
+        raise Falsified("companion meets x in the wrong line")
+    return comp
 
 
 def projective_morphism(p: Subspace) -> Subspace:

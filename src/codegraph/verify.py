@@ -31,7 +31,7 @@ from .fqlinalg import (
     vec_to_bits,
 )
 from .grassmann import KIND_FULL, KIND_NONDEGENERATE, backtrack, build_graph, greedy_order
-from .hmap import abc_partition, h_map, special_frame
+from .hmap import h_map
 from .autgroup import (
     GraphAutomorphism,
     apply,
@@ -69,13 +69,6 @@ class EmbeddingMap:
 
 
 @dataclass
-class PointMap:
-    """The induced partial point map on lines with support >= 3."""
-
-    assignments: dict[Subspace, Subspace]
-
-
-@dataclass
 class _STarget:
     subspace: Subspace
     bits: tuple[int, ...]
@@ -96,8 +89,6 @@ class LemmaContext:
         self.n = n
         self.code = build_graph(n, 2, 2, KIND_NONDEGENERATE)
         self.full = build_graph(n, 2, 2, KIND_FULL)
-        self.frame = special_frame(n)
-        self.part = abc_partition(self.code)
         self.nc = self.code.nv
 
         full_index_bits = self.full.index_bits
@@ -130,7 +121,10 @@ class LemmaContext:
         # P^i = complement of {i}; P_i = e_i
         self.p_upper = tuple(self.line_id[ones ^ (1 << (i - 1))] for i in range(1, n + 1))
         self.p_lower = tuple(self.line_id[1 << (i - 1)] for i in range(1, n + 1))
-        self.pn_in_H = self.frame.H.contains(self.lines[self.p_upper[n - 1]])
+        # the frame Q, P^1..P^(n-1), whose last n - 1 lines span H
+        self.frame_lids = (self.q_lid,) + self.p_upper[:-1]
+        self.frame_dst = tuple(self.line_bits[lid] for lid in self.frame_lids)
+        self.pn_in_H = rank_bits(self.frame_dst[1:] + (self.line_bits[self.p_upper[-1]],)) == n - 1
 
         # supports and complement twins of proper lines
         self.twin = {}
@@ -151,8 +145,9 @@ class LemmaContext:
                 sc[self.line_id[b]].append(vid)
         self.sc_code = tuple(tuple(v) for v in sc)
 
-        # the A-star and its indexing by representative support
-        self.all_A_vids = tuple(sorted(self.part.A))
+        # the A class (the codes through Q) and its indexing by
+        # representative support
+        self.all_A_vids = self.sc_code[self.q_lid]
         self.A_vids: dict[frozenset[int], int] = {}
         qbits = ones
         for vid in self.all_A_vids:
@@ -203,10 +198,8 @@ class LemmaContext:
         else:
             self.orth_perm = None
 
-        # the frame targets of normalization (Q, then P^1..P^(n-1)), and
-        # the set bits of each column of the inverse of the matrix D that
-        # has them as columns
-        self.frame_dst = (ones,) + tuple(ones ^ (1 << (i - 1)) for i in range(1, n))
+        # the set bits of each column of the inverse of the matrix D whose
+        # columns are the frame targets of normalization
         dst_inv = _solve_cols(list(self.frame_dst), [1 << t for t in range(n)], n)
         self.frame_dst_inv_bits = tuple(
             tuple(j for j in range(n) if (c >> j) & 1) for c in dst_inv
@@ -418,9 +411,10 @@ def _solve_cols(src: list[int], dst: list[int], n: int) -> tuple[int, ...]:
     return tuple(r >> n for r in red)
 
 
-def _normalize_ids(
-    ctx: LemmaContext, images: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]:
+_Normalization = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]
+
+
+def _normalize_ids(ctx: LemmaContext, images: tuple[int, ...]) -> _Normalization:
     """Return (normalized images, linear-correction columns, columns of
     its inverse, dual flag).
 
@@ -448,8 +442,7 @@ def _normalize_ids(
         if common is None:
             raise Falsified("orthocomplemented star image is still not a star")
     g1 = [common]
-    for i in range(1, ctx.n):
-        lid = ctx.p_upper[i - 1]
+    for i, lid in enumerate(ctx.frame_lids[1:], 1):
         got = _common_line(ctx, (f1[v] for v in ctx.sc_code[lid]))
         if got is None:
             raise Falsified(f"image of the star through axis complement {i} has no unique center")
@@ -487,16 +480,17 @@ def normalize(ctx: LemmaContext, emb: EmbeddingMap) -> tuple[EmbeddingMap, Graph
     return EmbeddingMap(ctx.n, f2), pre
 
 
-def point_map(ctx: LemmaContext, emb: EmbeddingMap) -> PointMap:
-    """Centers of the stars carrying the images of the maximal-clique
-    stars; defined exactly on the lines of support >= 3."""
+def point_map(ctx: LemmaContext, emb: EmbeddingMap) -> dict[Subspace, Subspace]:
+    """The induced partial point map: the centers of the stars carrying
+    the images of the maximal-clique stars; defined exactly on the lines
+    of support >= 3."""
     assignments: dict[Subspace, Subspace] = {}
     for lid in ctx.gprime_lids:
         got = _common_line(ctx, (emb.images[v] for v in ctx.sc_code[lid]))
         if got is None:
             raise Falsified("star image without a unique center")
         assignments[ctx.lines[lid]] = ctx.lines[got]
-    return PointMap(assignments)
+    return assignments
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +620,8 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
     pn_lid = ctx.p_upper[ctx.n - 1]
     got = _common_line(ctx, (fp[v] for v in ctx.sc_code[pn_lid]))
     if got is not None and kind is not None:
-        if kind == "identity":
-            expected = pn_lid
-        else:
-            expected = ctx.p_lower[ctx.n - 1] if ctx.n % 2 == 0 else pn_lid
+        # the collapse map fixes the lines inside H and twins the others
+        expected = pn_lid if kind == "identity" or ctx.pn_in_H else ctx.p_lower[ctx.n - 1]
         g1_pn_ok = got == expected
         if not g1_pn_ok:
             g1_pn_witness = {"image": ctx.lines[got].inline_text()}
@@ -650,22 +642,26 @@ def _automorphism(n: int, cols: tuple[int, ...], dual: bool) -> GraphAutomorphis
     return GraphAutomorphism(n, 2, cols_bits_to_rows(cols, n), dual=dual)
 
 
+def _normalized(ctx: LemmaContext, images: tuple[int, ...]) -> Optional[_Normalization]:
+    """``_normalize_ids``'s result, or None where it raises Falsified."""
+    try:
+        return _normalize_ids(ctx, images)
+    except Falsified:
+        return None
+
+
 def _classify_ids(
-    ctx: LemmaContext,
-    images: tuple[int, ...],
-    normalized: Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]] = None,
+    ctx: LemmaContext, images: tuple[int, ...], normalized: Optional[_Normalization]
 ) -> tuple[str, Optional[tuple[int, ...]], bool]:
-    """(kind, witness columns or None, dual flag).
+    """(kind, witness columns or None, dual flag), given ``_normalized``'s
+    result for ``images``.
 
     The frame fixes the only automorphism that can carry the identity or
     the collapse map onto ``images``: the inverse of the normalizing map.
     It is the witness only if it reproduces every image.
     """
     if normalized is None:
-        try:
-            normalized = _normalize_ids(ctx, images)
-        except Falsified:
-            return "unclassified", None, False
+        return "unclassified", None, False
     fp, _, inv_cols, dualled = normalized
     if fp == ctx.gid:
         base = ctx.gid
@@ -687,7 +683,7 @@ def _classify_ids(
 
 def classify(ctx: LemmaContext, emb: EmbeddingMap) -> EmbeddingMap:
     """Attach the verdict and witness to an embedding."""
-    kind, cols, dual = _classify_ids(ctx, emb.images)
+    kind, cols, dual = _classify_ids(ctx, emb.images, _normalized(ctx, emb.images))
     emb.verdict = kind
     emb.witness = None if cols is None else _automorphism(ctx.n, cols, dual)
     return emb
@@ -754,12 +750,8 @@ def _run_branches(
         if not is_valid_embedding(ctx, images):
             soundness_failures += 1
             continue
-        norm = None
-        try:
-            norm = _normalize_ids(ctx, images)
-            tallies["normalize"]["pass"] += 1
-        except Falsified:
-            tallies["normalize"]["fail"] += 1
+        norm = _normalized(ctx, images)
+        tallies["normalize"]["fail" if norm is None else "pass"] += 1
         kind_endgame = None
         if norm is not None:
             entry = reports.get(norm[0])
@@ -796,7 +788,7 @@ def _run_branches(
     }
 
 
-def certify_theorem(n: int, order_variant: int = 0, witness_dump: Optional[str] = None) -> dict:
+def certify_theorem(n: int, witness_dump: Optional[str] = None) -> dict:
     """Classify every embedding at size n and aggregate a certificate.
 
     Only n = 4 is accepted (see ``_require_exhaustive``).  The
@@ -812,7 +804,7 @@ def certify_theorem(n: int, order_variant: int = 0, witness_dump: Optional[str] 
     dump = open(witness_dump, "w", encoding="utf-8") if witness_dump is not None else nullcontext()
     with dump as fh:
         emit_line = _numbered_writer(fh) if fh is not None else None
-        res = _run_branches(ctx, _embeddings(ctx, _order_for(ctx, order_variant)), emit_line)
+        res = _run_branches(ctx, _embeddings(ctx, ctx.search_order), emit_line)
     counts = res["counts"]
     cert = {
         "n": n,

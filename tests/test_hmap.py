@@ -75,7 +75,7 @@ def test_partition_trichotomy_and_structural_characterization():
         assert not (part.A & part.B or part.A & part.C or part.B & part.C)
         for vid in part.C:
             x = g.vertices[vid]
-            assert in_c_class(x, frame)
+            assert in_c_class(x)
             outside = [p for p in x.lines() if not frame.H.contains(p)]
             sup_i, sup_j = (line_support(p) for p in outside)
             assert sup_i | sup_j == frozenset(range(1, n + 1))
@@ -108,7 +108,7 @@ def test_complement_postconditions():
         seen = {}
         for vid in part.C:
             x = g.vertices[vid]
-            xc = complement_code(x, frame)
+            xc = complement_code(x)
             assert frame.H.contains(xc)
             assert not is_nondegenerate(xc)
             assert intersect(x, xc).k == 1

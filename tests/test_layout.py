@@ -3,15 +3,19 @@
 No module imports a private (underscore-prefixed) name from another
 module of the package: a name another module needs is public.  Only
 ``verify`` reads the clock, for the certificate's wall_ms, so no
-deadline can creep back into the search core.
+deadline can creep back into the search core.  Every public function,
+class and method of the package is used somewhere, so a name that
+nothing calls is deleted rather than kept.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import codegraph
 
 SRC = Path(codegraph.__file__).resolve().parent
+ROOT = SRC.parents[1]
 
 
 def private_imports(path: Path) -> list[str]:
@@ -76,3 +80,54 @@ def test_the_rule_sees_every_form_of_time_import(tmp_path):
     ):
         probe.write_text(line + "\n")
         assert imports_time(probe) is hit, line
+
+
+def unreferenced_defs(path: Path, corpus: list[Path]) -> list[str]:
+    """Public functions, classes and methods defined in ``path`` whose
+    name, as a whole word, appears in no file of ``corpus`` apart from
+    the line that defines it, in the order they are defined."""
+    defs = sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    )
+    lines = {f: f.read_text(encoding="utf-8").splitlines() for f in corpus}
+    dead = []
+    for lineno, name in defs:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(
+            word.search(line)
+            for f, text in lines.items()
+            for i, line in enumerate(text, 1)
+            if (f, i) != (path, lineno)
+        ):
+            dead.append(name)
+    return dead
+
+
+def test_every_public_name_is_referenced():
+    corpus = sorted(f for part in ("src", "tests", "perfbench") for f in (ROOT / part).rglob("*.py"))
+    assert SRC / "verify.py" in corpus
+    dead = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py")) for name in unreferenced_defs(path, corpus)]
+    assert dead == []
+
+
+def test_the_rule_sees_an_unreferenced_def(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class Kept:\n"
+        "    def used(self):\n"
+        "        return helper()\n"
+        "    def unused_method(self):\n"
+        "        return Kept()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def _private():\n"
+        "    return 2\n"
+        "def unused():\n"
+        "    return 3\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("Kept().used()  # not unused_methodx nor xunused\n")
+    assert unreferenced_defs(probe, [probe, caller]) == ["unused_method", "unused"]

@@ -15,9 +15,9 @@ from codegraph.autgroup import (
     identity_automorphism,
     vertex_permutation,
 )
-from codegraph.fqlinalg import rank_bits
+from codegraph.fqlinalg import rank_bits, rref
 from codegraph.grassmann import backtrack
-from codegraph.hmap import line_support, special_frame
+from codegraph.hmap import abc_partition, line_support, p_copoint, special_frame
 from codegraph.verify import (
     EmbeddingMap,
     LEMMA_KEYS,
@@ -76,6 +76,20 @@ def test_parity_of_pn_across_sizes():
     for n, expected in ((4, False), (5, True), (6, False)):
         ctx = build_context(n)
         assert ctx.pn_in_H is expected
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_frame_read_off_the_line_table_matches_the_subspace_frame(n):
+    # the context reads the frame off its line table; the Subspace-level
+    # frame and partition stay the reference
+    ctx = build_context(n)
+    frame = special_frame(n)
+    assert ctx.all_A_vids == ctx.sc_code[ctx.q_lid] == tuple(sorted(abc_partition(ctx.code).A))
+    frame_lines = [ctx.lines[lid] for lid in ctx.frame_lids]
+    assert frame_lines == [frame.Q] + [p_copoint({i}, n) for i in range(1, n)]
+    assert rref([p.rows[0] for p in frame_lines[1:]], n, 2) == frame.H
+    assert ctx.frame_dst == tuple(p.bits[0] for p in frame_lines)
+    assert ctx.pn_in_H is frame.H.contains(ctx.lines[ctx.p_upper[n - 1]])
 
 
 def test_identity_and_h_are_valid_embeddings(ctx4):
@@ -343,16 +357,16 @@ def test_point_map_invariants(ctx4):
     pm = point_map(ctx4, emb)
     frame = special_frame(4)
     # defined exactly on the all-ones line and lines of support >= 3
-    assert set(pm.assignments) == {
+    assert set(pm) == {
         ctx4.lines[lid] for lid in ctx4.gprime_lids
     }
     assert all(
-        p == frame.Q or len(line_support(p)) >= 3 for p in pm.assignments
+        p == frame.Q or len(line_support(p)) >= 3 for p in pm
     )
     # images of each star lie inside the star of the assigned line
     for lid in ctx4.gprime_lids:
         p = ctx4.lines[lid]
-        g1p = pm.assignments[p]
+        g1p = pm[p]
         for v in ctx4.sc_code[lid]:
             assert ctx4.full.vertices[ctx4.h_gid[v]].contains(g1p)
 
@@ -521,11 +535,21 @@ def test_frame_equation_before_normalization(ctx4):
             assert got == want
 
 
-def test_certificate_invariant_across_orders(certificate4):
+def test_certificate_invariant_across_orders(certificate4, monkeypatch):
+    # the certification stream, in the reversed search order
+    real = verify._embeddings
+    orders = []
+
+    def reversed_order(ctx, order):
+        orders.append(_order_for(ctx, 1))
+        return real(ctx, orders[-1])
+
+    monkeypatch.setattr(verify, "_embeddings", reversed_order)
     base = dict(certificate4)
     base.pop("wall_ms")
-    other_order = certify_theorem(4, order_variant=1)
+    other_order = certify_theorem(4)
     other_order.pop("wall_ms")
+    assert orders == [list(reversed(build_context(4).search_order))]
     assert other_order == base
 
 
@@ -620,6 +644,29 @@ def test_memo_reruns_the_chain_for_every_would_be_counterexample(ctx4, monkeypat
     assert others > 0
     assert len(calls) == others + len(frame_maps & set(stream))
     assert res["tallies"]["endgame"]["fail"] == others
+
+
+def test_one_normalization_per_embedding(ctx4, monkeypatch):
+    # fault: normalization rejects every tuple with an even second image
+    def failing(images):
+        return images[1] % 2 == 0
+
+    calls = []
+
+    def rejecting(ctx, images):
+        calls.append(images)
+        if failing(images):
+            raise Falsified("injected")
+        return _normalize_ids(ctx, images)
+
+    monkeypatch.setattr(verify, "_normalize_ids", rejecting)
+    res = run_root_branch(ctx4)
+    stream = list(root_branch(ctx4))
+    rejected = sum(1 for images in stream if failing(images))
+    assert 0 < rejected < len(stream)
+    assert calls == stream
+    assert res["tallies"]["normalize"]["fail"] == res["counts"]["unclassified"] == rejected
+    assert res["route_mismatches"] == 0
 
 
 def test_witness_failures_count_every_broken_constructive_witness(ctx4, monkeypatch):
