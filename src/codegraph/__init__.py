@@ -37,9 +37,7 @@ from .autgroup import (
     GraphAutomorphism,
     apply,
     code_graph_aut_group,
-    compose,
     grassmann_aut_group,
-    inverse,
     orthocomplement,
 )
 from .verify import (

@@ -1,19 +1,20 @@
 """Automorphisms of Grassmann and code graphs.
 
-An automorphism is an invertible matrix acting on subspaces, optionally
-composed with the orthocomplement with respect to the standard dot
-product (legal only when the ambient dimension is twice the subspace
-dimension).  Code-graph automorphisms are generated by monomial
-matrices, which over F_2 are exactly the coordinate permutations.
+An automorphism is an F_2 witness: an invertible binary matrix acting on
+subspaces, optionally followed by the orthocomplement with respect to
+the standard dot product (legal only when the ambient dimension is twice
+the subspace dimension).  Only the group orders are q-generic: the full
+graph's generated group is PGL(n, q), doubled by the orthocomplement
+when n = 2k, and the code graph's is the monomial matrices modulo
+scalars, which over F_2 are exactly the coordinate permutations.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import Falsified, ParameterError
 from .fqlinalg import (
@@ -22,20 +23,13 @@ from .fqlinalg import (
     check_space,
     full_space,
     nullspace,
+    rank_bits,
     rref,
-    rref_modq,
+    vec_to_bits,
 )
 from .grassmann import CodeGraph, backtrack, greedy_order
 
 Matrix = tuple[Vector, ...]  # row tuples
-
-
-def _mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % q for col in bt) for row in a
-    )
 
 
 def _mat_vec(a: Matrix, v: Vector, q: int) -> Vector:
@@ -46,59 +40,24 @@ def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _mat_inv(a: Matrix, q: int) -> Matrix:
-    """Inverse read off the reduced form of [A | I]; raises on singular
-    input, which is exactly when the left block does not reduce to I."""
-    n = len(a)
-    ident = _identity(n)
-    red = rref_modq([tuple(row) + e for row, e in zip(a, ident)], 2 * n, q)
-    if tuple(row[:n] for row in red) != ident:
-        raise ParameterError("matrix is singular")
-    return tuple(row[n:] for row in red)
-
-
-def _mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-def _scalar_normalize(a: Matrix, q: int) -> Matrix:
-    """Scale so the first nonzero entry (row-major) is 1; identifies
-    scalar multiples, which act identically on subspaces."""
-    if q == 2:
-        return a
-    lead = next(c for row in a for c in row if c)
-    inv = pow(lead, q - 2, q)
-    return tuple(tuple((c * inv) % q for c in row) for row in a)
-
-
 @dataclass(frozen=True)
 class GraphAutomorphism:
-    """Invertible matrix plus an orthocomplement flag.
-
-    Equality quotients out scalars, which is the semantically correct
-    identification since scalar multiples act identically.
-    """
+    """Invertible n x n matrix over F_2 plus an orthocomplement flag."""
 
     n: int
-    q: int
     rows: Matrix
     dual: bool = False
 
     def __post_init__(self) -> None:
-        _mat_inv(self.rows, self.q)  # raises if singular
-        object.__setattr__(self, "rows", _scalar_normalize(self.rows, self.q))
+        n = self.n
+        if len(self.rows) != n or any(len(row) != n or not set(row) <= {0, 1} for row in self.rows):
+            raise ParameterError(f"need a {n}x{n} matrix with entries in {{0, 1}}")
+        if rank_bits(vec_to_bits(row) for row in self.rows) != n:
+            raise ParameterError("matrix is singular")
 
     @property
     def is_identity(self) -> bool:
         return not self.dual and self.rows == _identity(self.n)
-
-    def to_text(self) -> str:
-        lines = ["".join(str(c) for c in row) for row in self.rows]
-        lines.append("1" if self.dual else "0")
-        return "\n".join(lines)
-
-    def inline_text(self) -> str:
-        return matrix_inline_text(self.rows, self.dual)
 
 
 def matrix_inline_text(rows: Matrix, dual: bool) -> str:
@@ -108,14 +67,8 @@ def matrix_inline_text(rows: Matrix, dual: bool) -> str:
     )
 
 
-def automorphism_from_text(text: str, q: int = 2) -> GraphAutomorphism:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    rows = tuple(tuple(int(ch) for ch in ln) for ln in lines[:-1])
-    return GraphAutomorphism(len(rows), q, rows, dual=lines[-1] == "1")
-
-
-def identity_automorphism(n: int, q: int = 2) -> GraphAutomorphism:
-    return GraphAutomorphism(n, q, _identity(n))
+def identity_automorphism(n: int) -> GraphAutomorphism:
+    return GraphAutomorphism(n, _identity(n))
 
 
 def orthocomplement(x: Subspace, form: Matrix | None = None) -> Subspace:
@@ -130,35 +83,16 @@ def orthocomplement(x: Subspace, form: Matrix | None = None) -> Subspace:
 
 def apply(a: GraphAutomorphism, x: Subspace) -> Subspace:
     """Image subspace; matrix action first, then orthocomplement if dual."""
-    if a.n != x.n or a.q != x.q:
+    if a.n != x.n or x.q != 2:
         raise ParameterError("automorphism and subspace live in different spaces")
     if a.dual and x.n != 2 * x.k:
         raise ParameterError("dual flag needs ambient dimension twice the subspace dimension")
-    image = rref([_mat_vec(a.rows, v, x.q) for v in x.rows], x.n, x.q)
+    image = rref([_mat_vec(a.rows, v, 2) for v in x.rows], x.n, 2)
     return orthocomplement(image) if a.dual else image
 
 
-def compose(a: GraphAutomorphism, b: GraphAutomorphism) -> GraphAutomorphism:
-    """The automorphism acting as a after b.
-
-    Dual flags xor; when the inner map carries the flag, the outer
-    matrix conjugates through inverse-transpose, because the complement
-    of M X is the inverse-transpose of M applied to the complement of X.
-    """
-    if (a.n, a.q) != (b.n, b.q):
-        raise ParameterError("composing automorphisms of different spaces")
-    ma = _mat_transpose(_mat_inv(a.rows, a.q)) if b.dual else a.rows
-    return GraphAutomorphism(a.n, a.q, _mat_mul(ma, b.rows, a.q), dual=a.dual ^ b.dual)
-
-
-def inverse(a: GraphAutomorphism) -> GraphAutomorphism:
-    if a.dual:
-        return GraphAutomorphism(a.n, a.q, _mat_transpose(a.rows), dual=True)
-    return GraphAutomorphism(a.n, a.q, _mat_inv(a.rows, a.q), dual=False)
-
-
 # ---------------------------------------------------------------------------
-# group enumeration
+# group orders
 
 
 def order_gl(n: int, q: int) -> int:
@@ -200,40 +134,12 @@ def cols_bits_to_rows(cols: tuple[int, ...], n: int) -> Matrix:
     return tuple(tuple((cols[j] >> i) & 1 for j in range(n)) for i in range(n))
 
 
-def matrices_pgl_stream(n: int, q: int) -> Iterator[Matrix]:
-    """Invertible matrices modulo scalars, streamed in a fixed order."""
-    if q == 2:
-        for cols in gl2_cols_stream(n):
-            yield cols_bits_to_rows(cols, n)
-        return
-    nonzero = [v for v in itertools.product(range(q), repeat=n) if any(v)]
-    monic = [v for v in nonzero if v[next(i for i, c in enumerate(v) if c)] == 1]
-
-    def rec(rows: list[Vector]) -> Iterator[Matrix]:
-        if len(rows) == n:
-            yield tuple(rows)
-            return
-        pool = monic if not rows else nonzero
-        span = set(rref(rows, n, q).vectors())
-        for v in pool:
-            if v not in span:
-                yield from rec(rows + [v])
-
-    yield from rec([])
-
-
 @dataclass(frozen=True)
 class GroupHandle:
-    """Order plus deterministic element iteration."""
+    """A generated automorphism group, by description and order."""
 
     description: str
-    n: int
-    q: int
     order: int
-    _factory: Callable[[], Iterator[GraphAutomorphism]]
-
-    def __iter__(self) -> Iterator[GraphAutomorphism]:
-        return self._factory()
 
 
 def grassmann_aut_group(n: int, k: int, q: int) -> GroupHandle:
@@ -244,17 +150,8 @@ def grassmann_aut_group(n: int, k: int, q: int) -> GroupHandle:
     if not 1 <= k <= n - 1:
         raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     with_dual = n == 2 * k
-    order = order_pgl(n, q) * (2 if with_dual else 1)
-
-    def factory() -> Iterator[GraphAutomorphism]:
-        for rows in matrices_pgl_stream(n, q):
-            yield GraphAutomorphism(n, q, rows, dual=False)
-        if with_dual:
-            for rows in matrices_pgl_stream(n, q):
-                yield GraphAutomorphism(n, q, rows, dual=True)
-
     kind = "PGL with orthocomplement" if with_dual else "PGL"
-    return GroupHandle(f"{kind}({n},{q})", n, q, order, factory)
+    return GroupHandle(f"{kind}({n},{q})", order_pgl(n, q) * (2 if with_dual else 1))
 
 
 def code_graph_aut_group(n: int, k: int, q: int) -> GroupHandle:
@@ -262,21 +159,7 @@ def code_graph_aut_group(n: int, k: int, q: int) -> GroupHandle:
     check_space(n, q)
     if not 1 <= k <= n - 1:
         raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    order = factorial(n) * (q - 1) ** (n - 1)
-
-    def factory() -> Iterator[GraphAutomorphism]:
-        units = tuple(range(1, q))
-        for perm in itertools.permutations(range(n)):
-            # diagonal normalized so the first coordinate scale is 1
-            for diag in itertools.product(units, repeat=n - 1):
-                scales = (1,) + diag
-                rows = tuple(
-                    tuple(scales[c] if r == perm[c] else 0 for c in range(n))
-                    for r in range(n)
-                )
-                yield GraphAutomorphism(n, q, rows, dual=False)
-
-    return GroupHandle(f"monomial({n},{q})", n, q, order, factory)
+    return GroupHandle(f"monomial({n},{q})", factorial(n) * (q - 1) ** (n - 1))
 
 
 def vertex_permutation(a: GraphAutomorphism, g: CodeGraph) -> tuple[int, ...]:

@@ -474,7 +474,7 @@ def normalize(ctx: LemmaContext, emb: EmbeddingMap) -> tuple[EmbeddingMap, Graph
     if dualled:
         # the linear map L after the orthocomplement is the flagged matrix
         # L^-T, whose rows are the columns of L^-1
-        pre = GraphAutomorphism(ctx.n, 2, tuple(bits_to_vec(c, ctx.n) for c in inv_cols), dual=True)
+        pre = GraphAutomorphism(ctx.n, tuple(bits_to_vec(c, ctx.n) for c in inv_cols), dual=True)
     else:
         pre = _automorphism(ctx.n, cols, False)
     return EmbeddingMap(ctx.n, f2), pre
@@ -639,7 +639,7 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
 
 
 def _automorphism(n: int, cols: tuple[int, ...], dual: bool) -> GraphAutomorphism:
-    return GraphAutomorphism(n, 2, cols_bits_to_rows(cols, n), dual=dual)
+    return GraphAutomorphism(n, cols_bits_to_rows(cols, n), dual=dual)
 
 
 def _normalized(ctx: LemmaContext, images: tuple[int, ...]) -> Optional[_Normalization]:

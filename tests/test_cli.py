@@ -93,6 +93,17 @@ def test_aut_command(capsys):
     payload = json.loads(out)
     assert payload["grassmann_aut_order"] == 40320
     assert payload["code_graph_aut_order"] == 24
+    # the text form names each generated group
+    for q, full, code_graph in (
+        (2, "40320 (PGL with orthocomplement(4,2))", "24 (monomial(4,2))"),
+        (3, "24261120 (PGL with orthocomplement(4,3))", "192 (monomial(4,3))"),
+    ):
+        code, out = run_cli(capsys, ["aut", "--n", "4", "--k", "2", "--q", str(q)])
+        assert code == 0
+        assert out.splitlines() == [
+            f"generated automorphisms of the full graph: {full}",
+            f"generated automorphisms of the code graph: {code_graph}",
+        ]
 
 
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (7, 2)])

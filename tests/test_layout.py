@@ -5,7 +5,8 @@ module of the package: a name another module needs is public.  Only
 ``verify`` reads the clock, for the certificate's wall_ms, so no
 deadline can creep back into the search core.  Every public function,
 class and method of the package is used somewhere, so a name that
-nothing calls is deleted rather than kept.
+nothing calls is deleted rather than kept, and a name that only the
+tests call is listed in ``TEST_ONLY`` with the reason it stays.
 """
 
 import ast
@@ -48,10 +49,10 @@ def test_the_rule_sees_relative_and_absolute_private_imports(tmp_path):
     probe.write_text(
         "from __future__ import annotations\n"
         "from .verify import _solve_cols, build_context\n"
-        "from codegraph.autgroup import _mat_inv\n"
+        "from codegraph.autgroup import _mat_vec\n"
         "from os.path import _get_sep\n"
     )
-    assert private_imports(probe) == ["probe.py: verify._solve_cols", "probe.py: codegraph.autgroup._mat_inv"]
+    assert private_imports(probe) == ["probe.py: verify._solve_cols", "probe.py: codegraph.autgroup._mat_vec"]
 
 
 def imports_time(path: Path) -> bool:
@@ -131,3 +132,67 @@ def test_the_rule_sees_an_unreferenced_def(tmp_path):
     caller = tmp_path / "caller.py"
     caller.write_text("Kept().used()  # not unused_methodx nor xunused\n")
     assert unreferenced_defs(probe, [probe, caller]) == ["unused_method", "unused"]
+
+
+# Public names of the package that no src or perfbench file uses apart
+# from their definition and the package's re-exports, each with the
+# reason it is kept.
+TEST_ONLY = (
+    ("identity_automorphism", "reference oracle for the witness and action tests"),
+    ("is_identity", "reference oracle for the witnesses of the identity and collapse maps"),
+    ("vertex_permutation", "reference oracle for the permutation tables, through the subspace action"),
+    ("gl2_cols_stream", "reference oracle for the generated group: every matrix of GL(n, 2)"),
+    ("star_criterion", "paper claim tested by the clique taxonomy: which points give maximal stars"),
+    ("zero_subspace", "reference oracle for subspace enumeration"),
+    ("coordinate_hyperplane", "reference oracle for the orthocomplement and the degenerate planes"),
+    ("parse_subspace_blocks", "reference oracle for the enum command's text blocks"),
+    ("degenerate_union_count", "paper claim tested by the vertex count of the code graph"),
+    ("neighbors", "reference oracle for the adjacency bitmasks"),
+    ("complement_code", "paper claim tested by the collapse map's C class"),
+    ("point_map", "paper claim tested by the lemma chain's induced point map"),
+    ("recheck_witness", "reference oracle for the witness, through the subspace action"),
+)
+
+
+def only_tests_call(root: Path) -> list[str]:
+    """Public functions, classes and methods of the package under
+    ``root`` that no src or perfbench file names apart from their
+    definition and the package's ``__init__`` re-exports."""
+    package = root / "src" / "codegraph"
+    callers = [
+        f
+        for part in ("src", "perfbench")
+        for f in sorted((root / part).rglob("*.py"))
+        if f != package / "__init__.py"
+    ]
+    return [name for path in sorted(package.glob("*.py")) for name in unreferenced_defs(path, callers)]
+
+
+def test_test_only_names_are_listed():
+    found = set(only_tests_call(ROOT))
+    listed = {name for name, _ in TEST_ONLY}
+    assert len(listed) == len(TEST_ONLY)
+    # unlisted test-only names, then listed names that are gone or gained a caller
+    assert (sorted(found - listed), sorted(listed - found)) == ([], [])
+    for name, reason in TEST_ONLY:
+        assert reason.startswith(("reference oracle for ", "paper claim tested by ")), name
+
+
+def test_the_rule_sees_a_test_only_def(tmp_path):
+    package = tmp_path / "src" / "codegraph"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "tests").mkdir()
+    (package / "core.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+        "def benched():\n"
+        "    return 2\n"
+        "def only_tested():\n"
+        "    return 3\n"
+    )
+    (package / "cli.py").write_text("from .core import used\nused()\n")
+    (package / "__init__.py").write_text("from .core import benched, only_tested, used\n")
+    (tmp_path / "perfbench" / "run.py").write_text("from codegraph.core import benched\nbenched()\n")
+    (tmp_path / "tests" / "test_core.py").write_text("from codegraph.core import only_tested\nonly_tested()\n")
+    assert only_tests_call(tmp_path) == ["only_tested"]

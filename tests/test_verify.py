@@ -39,7 +39,7 @@ from codegraph.verify import (
 def swap_automorphism(n: int, i: int, j: int) -> GraphAutomorphism:
     rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     rows[i - 1], rows[j - 1] = rows[j - 1], rows[i - 1]
-    return GraphAutomorphism(n, 2, tuple(tuple(r) for r in rows))
+    return GraphAutomorphism(n, tuple(tuple(r) for r in rows))
 
 
 def restriction_images(ctx, a: GraphAutomorphism) -> tuple[int, ...]:
@@ -259,7 +259,7 @@ def test_normalize_linear_restriction(ctx4):
 
 
 def test_normalize_dual_restriction(ctx4):
-    a = GraphAutomorphism(4, 2, identity_automorphism(4).rows, dual=True)
+    a = GraphAutomorphism(4, identity_automorphism(4).rows, dual=True)
     emb = EmbeddingMap(4, restriction_images(ctx4, a))
     normed, pre = normalize(ctx4, emb)
     assert normed.images == ctx4.gid
@@ -298,7 +298,7 @@ def test_plane_images_match_the_subspace_action(n):
         cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
         while rank_bits(cols) != n:
             cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
-        want = vertex_permutation(GraphAutomorphism(n, 2, cols_bits_to_rows(cols, n)), ctx.full)
+        want = vertex_permutation(GraphAutomorphism(n, cols_bits_to_rows(cols, n)), ctx.full)
         assert ctx.map_images(cols, every) == want
         if n == 4:
             assert ctx.perm_of_cols(cols) == want
@@ -456,7 +456,7 @@ def test_constructive_route_recovers_sampled_group_elements(ctx4):
     rng = random.Random(7)
     for cols in rng.sample(list(gl2_cols_stream(4)), 100):
         for dual in (False, True):
-            a = GraphAutomorphism(4, 2, cols_bits_to_rows(cols, 4), dual=dual)
+            a = GraphAutomorphism(4, cols_bits_to_rows(cols, 4), dual=dual)
             emb = classify(ctx4, EmbeddingMap(4, restriction_images(ctx4, a)))
             assert emb.verdict == "extendable" and emb.witness == a
             comp = classify(ctx4, EmbeddingMap(4, composite_images(ctx4, a)))
