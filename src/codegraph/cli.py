@@ -8,8 +8,9 @@ one documented exception).
 
 Exit codes: 0 success, 1 falsified assertion (a counterexample was
 found), 2 invalid configuration (including an output path that cannot
-be written, a `theorem` size other than n = 4 and an `aut --direct`
-outside 1 < k < n-1 or on a full graph of more than DIRECT_MAX_VERTICES
+be written, a `theorem` size other than n = 4, a graph whose adjacency
+rows would pass grassmann.MAX_ROW_BYTES and an `aut --direct` outside
+1 < k < n-1 or on a full graph of more than DIRECT_MAX_VERTICES
 vertices).
 """
 

@@ -29,6 +29,11 @@ from .fqlinalg import (
 KIND_FULL = "FullGrassmann"
 KIND_NONDEGENERATE = "NonDegenerate"
 
+# the largest adjacency-row table a graph may take, nv**2 / 8 bytes: the
+# full G(9,2) (43,435 vertices) takes 0.22 GiB, G(10,2) would take 3.5 GiB
+# and G(11,2) 57 GiB
+MAX_ROW_BYTES = 1 << 30
+
 
 def is_nondegenerate(x: Subspace) -> bool:
     """True when no coordinate hyperplane contains x.
@@ -115,9 +120,13 @@ def _build_graph(n: int, k: int, q: int, kind: str) -> CodeGraph:
         raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     if kind not in (KIND_FULL, KIND_NONDEGENERATE):
         raise ParameterError(f"unknown graph kind {kind!r}")
+    if kind == KIND_FULL:
+        # refused before the subspaces are listed
+        _check_row_bytes(n, k, q, gaussian_binomial(n, k, q))
     vertices = enumerate_subspaces(n, k, q)
     if kind == KIND_NONDEGENERATE:
         vertices = tuple(x for x in vertices if is_nondegenerate(x))
+        _check_row_bytes(n, k, q, len(vertices))
     # Proof obligation: distinct k-spaces are adjacent iff they share a
     # (k-1)-space (then it is their intersection).  So a vertex's row is
     # the union of the stars of its hyperplanes with the vertex itself
@@ -151,6 +160,16 @@ def _build_graph(n: int, k: int, q: int, kind: str) -> CodeGraph:
             )
     edges = sum(row.bit_count() for row in adj) // 2
     return CodeGraph(n, k, q, kind, vertices, tuple(adj), edges)
+
+
+def _check_row_bytes(n: int, k: int, q: int, nv: int) -> None:
+    """ParameterError when nv bitmask rows of nv bits exceed MAX_ROW_BYTES."""
+    need = nv * nv // 8
+    if need > MAX_ROW_BYTES:
+        raise ParameterError(
+            f"the adjacency rows of a {nv}-vertex graph at ({n},{k},{q}) would take "
+            f"{need / (1 << 30):.1f} GiB, past the {MAX_ROW_BYTES >> 30} GiB cap"
+        )
 
 
 def _hyperplane_keys(x: Subspace, coeffs: tuple[Subspace, ...]) -> list[tuple]:

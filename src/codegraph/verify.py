@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, count
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
@@ -26,12 +27,12 @@ from .fqlinalg import (
     bits_to_vec,
     enumerate_subspaces,
     from_bits,
+    gaussian_binomial,
     rank_bits,
     rref_bits,
-    vec_to_bits,
 )
-from .grassmann import KIND_FULL, KIND_NONDEGENERATE, backtrack, build_graph, greedy_order
-from .hmap import h_map
+from . import hmap
+from .grassmann import KIND_FULL, KIND_NONDEGENERATE, backtrack, build_graph, greedy_order, iter_edges
 from .autgroup import (
     GraphAutomorphism,
     apply,
@@ -81,6 +82,24 @@ class LemmaContext:
 
     Everything an embedding check needs is resolved to integer tables
     here once, so the per-embedding work is plain bitmask arithmetic.
+    The S_I member sets, the collapse-map images ``h_gid`` and the edge
+    lists ``code_later`` are read off the line tables, with no scan over
+    all planes and no call of ``hmap.h_map``.
+
+    Proof obligations, checked as the tables are built (Falsified when
+    one fails):
+
+    - S_I is a (|I|+1)-space, and each plane inside it is spanned by any
+      two of its lines, so ``plane_of_pair`` over the pairs of lines of
+      S_I gives its planes; there must be exactly
+      ``gaussian_binomial(|I|+1, 2, 2)`` of them.
+    - The collapse map fixes the A class.  Every other code plane goes
+      to the span of its lines' images under
+      ``hmap.projective_morphism`` (B is fixed pointwise; a C plane goes
+      to the span of the twins of its two lines outside H, whose sum is
+      its line inside H).  So its image is the plane that
+      ``plane_of_pair`` gives for the images of its two basis lines,
+      and that plane must hold the image of its third line too.
     """
 
     def __init__(self, n: int):
@@ -163,7 +182,12 @@ class LemmaContext:
             sub = rref_bits((ones ^ (1 << (i - 1)), ones ^ (1 << (j - 1))))
             self.b_pair_vids[(i, j)] = code_index_bits[sub]
 
-        # expected spans S_I = Q + sum of the chosen axes
+        # expected spans S_I = Q + sum of the chosen axes; the planes
+        # inside S_I are the planes spanned by pairs of its lines
+        code_of_full = [-1] * self.full.nv
+        for vid, g in enumerate(self.gid):
+            code_of_full[g] = vid
+        pair = self.plane_of_pair
         self.subsets = [
             frozenset(c)
             for size in range(1, n)
@@ -171,24 +195,34 @@ class LemmaContext:
         ]
         self.S_expected: dict[frozenset[int], _STarget] = {}
         for I in self.subsets:
-            rows = [ones] + [1 << (i - 1) for i in I]
-            red = rref_bits(rows)
-            sub = from_bits(red, n)
-            vecs = frozenset(vec_to_bits(v) for v in sub.vectors())
-            member_mask = 0
-            for vid, rows_b in enumerate(self.full_bits):
-                if rows_b[0] in vecs and rows_b[1] in vecs:
-                    member_mask |= 1 << vid
-            code_members = tuple(
-                vid for vid in range(self.nc) if (member_mask >> self.gid[vid]) & 1
+            red = rref_bits([ones] + [1 << (i - 1) for i in I])
+            vecs = [0]
+            for r in red:
+                vecs += [v ^ r for v in vecs]
+            lids = [self.line_id[v] for v in vecs[1:]]
+            members = {pair[a * nl + b] for x, a in enumerate(lids) for b in lids[x + 1:]}
+            want = gaussian_binomial(len(I) + 1, 2, 2)
+            if len(members) != want:
+                raise Falsified(f"S_{sorted(I)} holds {len(members)} planes, not {want}")
+            code_members = tuple(sorted(code_of_full[p] for p in members if code_of_full[p] >= 0))
+            self.S_expected[I] = _STarget(
+                from_bits(red, n), red, sum(1 << p for p in members), code_members
             )
-            self.S_expected[I] = _STarget(sub, red, member_mask, code_members)
         self.three_subsets = [I for I in self.subsets if len(I) == 3]
 
-        # collapse-map images
-        self.h_gid = tuple(
-            full_index_bits[h_map(x).bits] for x in self.code.vertices
-        )
+        # collapse-map images (the second proof obligation above)
+        line_img = [self.line_id[hmap.projective_morphism(p).bits[0]] for p in self.lines]
+        h_gid = list(self.gid)
+        a_class = set(self.all_A_vids)
+        for vid, x in enumerate(self.code.vertices):
+            if vid in a_class:
+                continue
+            r1, r2 = x.bits
+            pid = pair[line_img[self.line_id[r1]] * nl + line_img[self.line_id[r2]]]
+            if pid < 0 or not (self.vline_mask[pid] >> line_img[self.line_id[r1 ^ r2]]) & 1:
+                raise Falsified(f"the point map sends the lines of {x.inline_text()} into no plane")
+            h_gid[vid] = pid
+        self.h_gid: tuple[int, ...] = tuple(h_gid)
 
         # orthocomplement as a vertex permutation (only when n = 2k)
         if n == 4:
@@ -207,15 +241,19 @@ class LemmaContext:
 
         self._perm_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-        self.search_order = greedy_order(self.code.adj)
-
         # each code vertex's neighbours with a larger id, for the soundness
-        # recheck; the tuples share the int objects of one id list
+        # recheck, read off the set bits of each row above its own id; the
+        # tuples share the int objects of one id list
         ids = list(range(self.nc))
-        self.code_later: tuple[tuple[int, ...], ...] = tuple(
-            tuple([j for j in ids[i + 1:] if (row >> j) & 1])
-            for i, row in enumerate(self.code.adj)
-        )
+        later: list[list[int]] = [[] for _ in ids]
+        for i, j in iter_edges(self.code):
+            later[i].append(ids[j])
+        self.code_later: tuple[tuple[int, ...], ...] = tuple(map(tuple, later))
+
+    @cached_property
+    def search_order(self) -> list[int]:
+        """The exhaustive search's order; only the n = 4 route reads it."""
+        return greedy_order(self.code.adj)
 
     def perm_of_cols(self, cols: tuple[int, ...]) -> tuple[int, ...]:
         """Vertex permutation of the full graph induced by a linear map

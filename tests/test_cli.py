@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from codegraph import cli, hmap, verify
+from codegraph import cli, grassmann, hmap, verify
 from codegraph.fqlinalg import rref
 
 
@@ -172,6 +172,18 @@ def test_theorem_n5_exit_2_before_any_search(capsys, monkeypatch):
     code = cli.main(["theorem", "--n", "5"])
     assert code == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_graph_past_the_row_cap_exit_2_before_listing(capsys, monkeypatch):
+    # G(11,2) passes the ambient and listing caps, but its 698,027
+    # bitmask rows would take about 57 GiB
+    def no_listing(*args, **kwargs):
+        raise AssertionError("the subspaces must not be listed")
+
+    monkeypatch.setattr(grassmann, "enumerate_subspaces", no_listing)
+    code = cli.main(["graph", "--n", "11", "--k", "2", "--q", "2"])
+    assert code == 2
+    assert "GiB cap" in capsys.readouterr().err
 
 
 def test_theorem_full_run_exit_0(tmp_path, capsys, certificate4):

@@ -149,6 +149,33 @@ def test_build_graph_parameter_validation():
         build_graph(4, 2, 2, "Weird")
 
 
+class Listed(Exception):
+    """Raised by a stand-in for the subspace listing, so a test can see
+    how far a build got without building anything."""
+
+
+def refuse_listing(*args, **kwargs):
+    raise Listed
+
+
+@pytest.mark.parametrize("n, k, q", [(11, 2, 2), (10, 2, 2), (8, 2, 3)])
+def test_rows_past_the_byte_cap_are_refused_before_listing(monkeypatch, n, k, q):
+    # 57, 3.5 and 94 GiB of rows: refused from the vertex count alone
+    assert gaussian_binomial(n, k, q) ** 2 // 8 > grassmann.MAX_ROW_BYTES
+    monkeypatch.setattr(grassmann, "enumerate_subspaces", refuse_listing)
+    with pytest.raises(ParameterError, match="GiB cap"):
+        build_graph(n, k, q, KIND_FULL)
+
+
+@pytest.mark.parametrize("n, kind", [(9, KIND_FULL), (11, KIND_NONDEGENERATE)])
+def test_rows_within_the_byte_cap_reach_the_listing(monkeypatch, n, kind):
+    # G(9,2) takes 0.22 GiB of rows; the code graph's rows are checked on
+    # its own vertex count, after the listing
+    monkeypatch.setattr(grassmann, "enumerate_subspaces", refuse_listing)
+    with pytest.raises(Listed):
+        build_graph(n, 2, 2, kind)
+
+
 def test_nondegenerate_vertices_preserve_enumeration_order():
     g = build_graph(4, 2, 2, KIND_NONDEGENERATE)
     filtered = [x for x in enumerate_subspaces(4, 2, 2) if is_nondegenerate(x)]

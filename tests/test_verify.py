@@ -6,6 +6,7 @@ import types
 import pytest
 
 import codegraph.verify as verify
+from codegraph import hmap
 from codegraph.errors import Falsified, ParameterError
 from codegraph.autgroup import (
     GraphAutomorphism,
@@ -15,9 +16,9 @@ from codegraph.autgroup import (
     identity_automorphism,
     vertex_permutation,
 )
-from codegraph.fqlinalg import rank_bits, rref
+from codegraph.fqlinalg import from_bits, rank_bits, rref, rref_bits, vec_to_bits
 from codegraph.grassmann import backtrack
-from codegraph.hmap import abc_partition, line_support, p_copoint, special_frame
+from codegraph.hmap import abc_partition, h_map, line_support, p_copoint, special_frame
 from codegraph.verify import (
     EmbeddingMap,
     LEMMA_KEYS,
@@ -90,6 +91,58 @@ def test_frame_read_off_the_line_table_matches_the_subspace_frame(n):
     assert rref([p.rows[0] for p in frame_lines[1:]], n, 2) == frame.H
     assert ctx.frame_dst == tuple(p.bits[0] for p in frame_lines)
     assert ctx.pn_in_H is frame.H.contains(ctx.lines[ctx.p_upper[n - 1]])
+
+
+def brute_force_s_targets(ctx) -> dict:
+    """Reference S_I tables: every plane of G(n,2) tested for membership
+    in the vectors of S_I."""
+    ones = (1 << ctx.n) - 1
+    out = {}
+    for I in ctx.subsets:
+        red = rref_bits([ones] + [1 << (i - 1) for i in I])
+        vecs = frozenset(vec_to_bits(v) for v in from_bits(red, ctx.n).vectors())
+        mask = 0
+        for vid, (r1, r2) in enumerate(ctx.full_bits):
+            if r1 in vecs and r2 in vecs:
+                mask |= 1 << vid
+        members = tuple(v for v in range(ctx.nc) if (mask >> ctx.gid[v]) & 1)
+        out[I] = (red, mask, members)
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_tables_read_off_the_line_tables_match_the_reference(n):
+    # the context reads S_I and the collapse images off its line tables;
+    # the per-plane membership scan and the paper's h_map stay the oracle
+    ctx = build_context(n)
+    index_bits = ctx.full.index_bits
+    assert ctx.h_gid == tuple(index_bits[h_map(x).bits] for x in ctx.code.vertices)
+    expected = brute_force_s_targets(ctx)
+    assert list(ctx.S_expected) == list(expected)
+    for I, target in ctx.S_expected.items():
+        assert (target.bits, target.full_member_mask, target.code_members) == expected[I], sorted(I)
+        assert target.subspace == from_bits(target.bits, n)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_context_refuses_a_point_map_that_sends_a_plane_into_no_plane(monkeypatch, n):
+    # fault: one line outside H on a C-class plane is fixed instead of
+    # twinned, so that plane's three line images span more than a plane
+    code = build_context(n).code
+    frame = special_frame(n)
+    c_plane = code.vertices[min(abc_partition(code).C)]
+    moved = next(p for p in c_plane.lines() if not frame.H.contains(p))
+    real = hmap.projective_morphism
+    monkeypatch.setattr(hmap, "projective_morphism", lambda p: p if p == moved else real(p))
+    with pytest.raises(Falsified, match="into no plane"):
+        verify.LemmaContext(n)
+
+
+def test_context_refuses_an_s_i_of_the_wrong_size(monkeypatch):
+    real = verify.gaussian_binomial
+    monkeypatch.setattr(verify, "gaussian_binomial", lambda n, k, q: real(n, k, q) + 1)
+    with pytest.raises(Falsified, match="planes, not"):
+        verify.LemmaContext(4)
 
 
 def test_identity_and_h_are_valid_embeddings(ctx4):
