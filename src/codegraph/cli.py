@@ -216,13 +216,6 @@ def _cmd_aut(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def _cmd_theorem(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
     cert = verify.certify_theorem(ns.n, witness_dump=ns.witness_dump)
-    falsified = (
-        cert["unclassified"] > 0
-        or cert["soundness_failures"] > 0
-        or cert["witness_failures"] > 0
-        or cert["route_mismatches"] > 0
-        or any(v["fail"] for v in cert["lemma_chain"].values())
-    )
     text = [
         f"embeddings {cert['embeddings_total']} "
         f"(extendable {cert['extendable']}, exceptional {cert['exceptional']}, "
@@ -232,7 +225,7 @@ def _cmd_theorem(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
     ]
     for name, tally in cert["lemma_chain"].items():
         text.append(f"{name}: pass {tally['pass']} fail {tally['fail']}")
-    return cert, text, EXIT_FALSIFIED if falsified else EXIT_OK
+    return cert, text, EXIT_FALSIFIED if verify.falsified(cert) else EXIT_OK
 
 
 _COMMANDS = {

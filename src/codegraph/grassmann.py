@@ -76,13 +76,6 @@ class CodeGraph:
     def index(self) -> dict[Subspace, int]:
         return {x: i for i, x in enumerate(self.vertices)}
 
-    @cached_property
-    def index_bits(self) -> dict[tuple[int, ...], int]:
-        """Packed-row lookup, only populated for q = 2."""
-        if self.q != 2:
-            return {}
-        return {x.bits: i for i, x in enumerate(self.vertices)}
-
     @property
     def complete_regime(self) -> bool:
         """k = 1 or k = n - 1, where the ambient graph is complete."""

@@ -19,14 +19,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional
 
 from .errors import Falsified, ParameterError
 from .fqlinalg import (
     Subspace,
     bits_to_vec,
     enumerate_subspaces,
-    from_bits,
     gaussian_binomial,
     rank_bits,
     rref_bits,
@@ -71,7 +70,6 @@ class EmbeddingMap:
 
 @dataclass
 class _STarget:
-    subspace: Subspace
     bits: tuple[int, ...]
     full_member_mask: int
     code_members: tuple[int, ...]
@@ -82,9 +80,10 @@ class LemmaContext:
 
     Everything an embedding check needs is resolved to integer tables
     here once, so the per-embedding work is plain bitmask arithmetic.
-    The S_I member sets, the collapse-map images ``h_gid`` and the edge
-    lists ``code_later`` are read off the line tables, with no scan over
-    all planes and no call of ``hmap.h_map``.
+    The code planes' full ids ``gid``, the S_I member sets, the
+    collapse-map images ``h_gid`` and the edge lists ``code_later`` are
+    read off the line tables, with no scan over all planes and no call
+    of ``hmap.h_map``.
 
     Proof obligations, checked as the tables are built (Falsified when
     one fails):
@@ -110,11 +109,7 @@ class LemmaContext:
         self.full = build_graph(n, 2, 2, KIND_FULL)
         self.nc = self.code.nv
 
-        full_index_bits = self.full.index_bits
         self.full_bits: tuple[tuple[int, ...], ...] = tuple(x.bits for x in self.full.vertices)
-        self.gid: tuple[int, ...] = tuple(
-            full_index_bits[x.bits] for x in self.code.vertices
-        )
 
         # lines, their ids, the 3-line mask of every plane, and the plane
         # spanned by each pair of lines
@@ -134,6 +129,16 @@ class LemmaContext:
                 self.plane_of_pair[x * nl + y] = self.plane_of_pair[y * nl + x] = vid
         self.vline_mask = tuple(vmask)
         self.all_lines_mask = (1 << self.nlines) - 1
+        pair = self.plane_of_pair
+
+        def plane_of(r1: int, r2: int) -> int:
+            return pair[self.line_id[r1] * nl + self.line_id[r2]]
+
+        # each code plane's full id, and the inverse list (-1 off the code)
+        self.gid: tuple[int, ...] = tuple(plane_of(*x.bits) for x in self.code.vertices)
+        code_of_full = [-1] * self.full.nv
+        for vid, g in enumerate(self.gid):
+            code_of_full[g] = vid
 
         ones = (1 << n) - 1
         self.q_lid = self.line_id[ones]
@@ -176,18 +181,13 @@ class LemmaContext:
             support = frozenset(i + 1 for i in range(n) if (rep >> i) & 1)
             self.A_vids[support] = vid
         self.a_singleton = tuple(self.A_vids[frozenset({i})] for i in range(1, n))
-        self.b_pair_vids = {}
-        code_index_bits = self.code.index_bits
-        for i, j in combinations(range(1, n), 2):
-            sub = rref_bits((ones ^ (1 << (i - 1)), ones ^ (1 << (j - 1))))
-            self.b_pair_vids[(i, j)] = code_index_bits[sub]
+        self.b_pair_vids = {
+            (i, j): code_of_full[plane_of(ones ^ (1 << (i - 1)), ones ^ (1 << (j - 1)))]
+            for i, j in combinations(range(1, n), 2)
+        }
 
         # expected spans S_I = Q + sum of the chosen axes; the planes
         # inside S_I are the planes spanned by pairs of its lines
-        code_of_full = [-1] * self.full.nv
-        for vid, g in enumerate(self.gid):
-            code_of_full[g] = vid
-        pair = self.plane_of_pair
         self.subsets = [
             frozenset(c)
             for size in range(1, n)
@@ -205,9 +205,7 @@ class LemmaContext:
             if len(members) != want:
                 raise Falsified(f"S_{sorted(I)} holds {len(members)} planes, not {want}")
             code_members = tuple(sorted(code_of_full[p] for p in members if code_of_full[p] >= 0))
-            self.S_expected[I] = _STarget(
-                from_bits(red, n), red, sum(1 << p for p in members), code_members
-            )
+            self.S_expected[I] = _STarget(red, sum(1 << p for p in members), code_members)
         self.three_subsets = [I for I in self.subsets if len(I) == 3]
 
         # collapse-map images (the second proof obligation above)
@@ -226,8 +224,9 @@ class LemmaContext:
 
         # orthocomplement as a vertex permutation (only when n = 2k)
         if n == 4:
+            index = self.full.index
             self.orth_perm: Optional[tuple[int, ...]] = tuple(
-                full_index_bits[orthocomplement(x).bits] for x in self.full.vertices
+                index[orthocomplement(x)] for x in self.full.vertices
             )
         else:
             self.orth_perm = None
@@ -587,7 +586,7 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
         target = ctx.S_expected[I]
         rows = []
         for i in I:
-            rows.extend(ctx.full_bits[fp[ctx.A_vids[frozenset({i})]]])
+            rows.extend(ctx.full_bits[fp[ctx.a_singleton[i - 1]]])
         actual = rref_bits(rows)
         if actual != target.bits:
             if eq4_ok:
@@ -745,12 +744,6 @@ def recheck_witness(ctx: LemmaContext, emb: EmbeddingMap) -> bool:
 # the certified run
 
 
-def _numbered_writer(fh: TextIO) -> Callable[[str], None]:
-    """Write each line to fh prefixed with its running number."""
-    numbers = count()
-    return lambda line: fh.write(f"{next(numbers)} {line}\n")
-
-
 # the constructive verdict each endgame kind must agree with
 _EXPECTED_KIND = {"identity": "extendable", "h": "exceptional", None: "unclassified"}
 
@@ -761,19 +754,37 @@ def _tally_checks(tallies: dict, report: dict, uses: int) -> None:
         tallies[name]["pass" if res["passed"] else "fail"] += uses
 
 
-def _run_branches(
+def _certificate(
     ctx: LemmaContext,
     stream: Iterable[tuple[int, ...]],
-    emit_line: Optional[Callable[[str], None]],
+    fields: dict,
+    witness_dump: Optional[str] = None,
 ) -> dict:
-    """Classify every image tuple of ``stream`` and tally them;
-    ``emit_line`` receives one verdict+witness line per valid embedding.
-    The loop reads no clock: the caller bounds the stream."""
+    """Classify every image tuple of ``stream`` into a certificate that
+    carries ``fields`` after the counters; ``witness_dump``, when given,
+    receives one numbered verdict+witness line per valid embedding.
+
+    The loop reads no clock for control: the caller bounds the stream.
+    wall_ms covers the loop and the dump only, so whatever the caller
+    computed before the call (the context, ``fields``) is outside it.
+    """
     tallies = {k: {"pass": 0, "fail": 0} for k in LEMMA_KEYS}
-    counts = {"total": 0, "extendable": 0, "exceptional": 0, "unclassified": 0}
-    soundness_failures = 0
-    witness_failures = 0
-    route_mismatches = 0
+    cert = {
+        "n": ctx.n,
+        "k": 2,
+        "q": 2,
+        "embeddings_total": 0,
+        "extendable": 0,
+        "exceptional": 0,
+        "unclassified": 0,
+        "lemma_chain": tallies,
+        "soundness_failures": 0,
+        "witness_failures": 0,
+        "route_mismatches": 0,
+        **fields,
+        # a constant: the byte-stable payload and perfbench's oracle keep "complete": true
+        "complete": True,
+    }
     # Invariant-chain reports by normalized tuple, each with its number of
     # uses.  lemma_chain reads only ctx tables and emb.images, so equal
     # tuples give equal reports, and adding a report's checks once per use
@@ -783,82 +794,68 @@ def _run_branches(
     # would-be counterexample, gets the full chain every time and is
     # tallied at once.
     reports: dict[tuple[int, ...], list] = {}
-    for images in stream:
-        counts["total"] += 1
-        if not is_valid_embedding(ctx, images):
-            soundness_failures += 1
-            continue
-        norm = _normalized(ctx, images)
-        tallies["normalize"]["fail" if norm is None else "pass"] += 1
-        kind_endgame = None
-        if norm is not None:
-            entry = reports.get(norm[0])
-            if entry is not None:
-                entry[1] += 1
-                report = entry[0]
-            else:
-                report = lemma_chain(ctx, EmbeddingMap(ctx.n, norm[0]))
-                if report["endgame_kind"] is not None:
-                    reports[norm[0]] = [report, 1]
-                else:
-                    _tally_checks(tallies, report, 1)
-            kind_endgame = report["endgame_kind"]
-        kind, wcols, dual = _classify_ids(ctx, images, norm)
-        counts[kind] += 1
-        # the two routes must agree: constructive verdict vs endgame
-        if kind != _EXPECTED_KIND[kind_endgame]:
-            route_mismatches += 1
-        if wcols is None and norm is not None and norm[0] in (ctx.gid, ctx.h_gid):
-            # the frame map matched, but its witness misses some image
-            witness_failures += 1
-        if emit_line is not None:
-            # wcols already reproduced every image, so it is invertible
-            wtext = "-" if wcols is None else matrix_inline_text(cols_bits_to_rows(wcols, ctx.n), dual)
-            emit_line(f"{kind} {wtext}")
-    for report, uses in reports.values():
-        _tally_checks(tallies, report, uses)
-    return {
-        "tallies": tallies,
-        "counts": counts,
-        "soundness_failures": soundness_failures,
-        "witness_failures": witness_failures,
-        "route_mismatches": route_mismatches,
-    }
-
-
-def certify_theorem(n: int, witness_dump: Optional[str] = None) -> dict:
-    """Classify every embedding at size n and aggregate a certificate.
-
-    Only n = 4 is accepted (see ``_require_exhaustive``).  The
-    certificate is deterministic apart from wall_ms.  The witness dump
-    is written line by line as embeddings are classified.
-    """
-    _require_exhaustive(n)
-    ctx = build_context(n)
-    fields = group_fields(ctx)
-    # the clock covers certification only, not the cached context build
-    # or the group fields
+    numbers = count()
     t0 = time.monotonic()
     dump = open(witness_dump, "w", encoding="utf-8") if witness_dump is not None else nullcontext()
     with dump as fh:
-        emit_line = _numbered_writer(fh) if fh is not None else None
-        res = _run_branches(ctx, _embeddings(ctx, ctx.search_order), emit_line)
-    counts = res["counts"]
-    cert = {
-        "n": n,
-        "k": 2,
-        "q": 2,
-        "embeddings_total": counts["total"],
-        "extendable": counts["extendable"],
-        "exceptional": counts["exceptional"],
-        "unclassified": counts["unclassified"],
-        "lemma_chain": res["tallies"],
-        "soundness_failures": res["soundness_failures"],
-        "witness_failures": res["witness_failures"],
-        "route_mismatches": res["route_mismatches"],
-    }
-    cert.update(fields)
-    # a constant: the byte-stable payload and perfbench's oracle keep "complete": true
-    cert["complete"] = True
+        for images in stream:
+            cert["embeddings_total"] += 1
+            if not is_valid_embedding(ctx, images):
+                cert["soundness_failures"] += 1
+                continue
+            norm = _normalized(ctx, images)
+            tallies["normalize"]["fail" if norm is None else "pass"] += 1
+            kind_endgame = None
+            if norm is not None:
+                entry = reports.get(norm[0])
+                if entry is not None:
+                    entry[1] += 1
+                    report = entry[0]
+                else:
+                    report = lemma_chain(ctx, EmbeddingMap(ctx.n, norm[0]))
+                    if report["endgame_kind"] is not None:
+                        reports[norm[0]] = [report, 1]
+                    else:
+                        _tally_checks(tallies, report, 1)
+                kind_endgame = report["endgame_kind"]
+            kind, wcols, dual = _classify_ids(ctx, images, norm)
+            cert[kind] += 1
+            # the two routes must agree: constructive verdict vs endgame
+            if kind != _EXPECTED_KIND[kind_endgame]:
+                cert["route_mismatches"] += 1
+            if wcols is None and norm is not None and norm[0] in (ctx.gid, ctx.h_gid):
+                # the frame map matched, but its witness misses some image
+                cert["witness_failures"] += 1
+            if fh is not None:
+                # wcols already reproduced every image, so it is invertible
+                wtext = "-" if wcols is None else matrix_inline_text(cols_bits_to_rows(wcols, ctx.n), dual)
+                fh.write(f"{next(numbers)} {kind} {wtext}\n")
+    for report, uses in reports.values():
+        _tally_checks(tallies, report, uses)
     cert["wall_ms"] = int((time.monotonic() - t0) * 1000)
     return cert
+
+
+def falsified(cert: dict) -> bool:
+    """Whether a certificate records a counterexample: an unclassified
+    embedding, a failed soundness or witness recheck, a disagreement of
+    the two routes, or a failed check of the invariant chain."""
+    return bool(
+        cert["unclassified"]
+        or cert["soundness_failures"]
+        or cert["witness_failures"]
+        or cert["route_mismatches"]
+        or any(v["fail"] for v in cert["lemma_chain"].values())
+    )
+
+
+def certify_theorem(n: int, witness_dump: Optional[str] = None) -> dict:
+    """Classify every embedding at size n into a certificate.
+
+    Only n = 4 is accepted (see ``_require_exhaustive``).  The
+    certificate is deterministic apart from wall_ms, which covers
+    certification only: the context and the group fields come first.
+    """
+    _require_exhaustive(n)
+    ctx = build_context(n)
+    return _certificate(ctx, _embeddings(ctx, ctx.search_order), group_fields(ctx), witness_dump)

@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import itertools
+import json
 import random
 import time
 import types
@@ -26,6 +29,7 @@ from codegraph.verify import (
     certify_theorem,
     classify,
     enumerate_embeddings,
+    falsified,
     is_valid_embedding,
     lemma_chain,
     normalize,
@@ -63,7 +67,7 @@ def test_context_sanity(ctx4):
     assert len(ctx4.b_pair_vids) == 3
     assert len(ctx4.gprime_lids) == 5  # the all-ones line plus four axes complements
     for I, target in ctx4.S_expected.items():
-        assert target.subspace.k == len(I) + 1
+        assert len(target.bits) == len(I) + 1
         assert len(target.code_members) >= 1
     # every star used for frame recovery has at least two members
     for lid in (ctx4.q_lid, *ctx4.p_upper):
@@ -115,13 +119,12 @@ def test_tables_read_off_the_line_tables_match_the_reference(n):
     # the context reads S_I and the collapse images off its line tables;
     # the per-plane membership scan and the paper's h_map stay the oracle
     ctx = build_context(n)
-    index_bits = ctx.full.index_bits
-    assert ctx.h_gid == tuple(index_bits[h_map(x).bits] for x in ctx.code.vertices)
+    index = ctx.full.index
+    assert ctx.h_gid == tuple(index[h_map(x)] for x in ctx.code.vertices)
     expected = brute_force_s_targets(ctx)
     assert list(ctx.S_expected) == list(expected)
     for I, target in ctx.S_expected.items():
         assert (target.bits, target.full_member_mask, target.code_members) == expected[I], sorted(I)
-        assert target.subspace == from_bits(target.bits, n)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -280,13 +283,15 @@ def test_h_appears_in_its_branch(ctx4):
 
 
 def test_wall_ms_covers_certification_only(ctx4, monkeypatch, bound_stream):
-    real = verify.build_context
+    # the context build and the group fields both come before the clock
+    for name in ("build_context", "group_fields"):
+        real = getattr(verify, name)
 
-    def slow_build_context(*args, **kwargs):
-        time.sleep(0.5)
-        return real(*args, **kwargs)
+        def slow(*args, _real=real, **kwargs):
+            time.sleep(0.5)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "build_context", slow_build_context)
+        monkeypatch.setattr(verify, name, slow)
     bound_stream(100)
     cert = certify_theorem(4)
     assert cert["embeddings_total"] == 100
@@ -545,11 +550,13 @@ def test_n5_partial_run_smoke():
     # the 3072 embeddings the n = 5 search yields before it stalls
     ctx5 = build_context(5)
     stream = itertools.islice(verify._embeddings(ctx5, ctx5.search_order), 3072)
-    res = verify._run_branches(ctx5, stream, None)
-    assert res["counts"] == {"total": 3072, "extendable": 1536, "exceptional": 1536, "unclassified": 0}
+    res = verify._certificate(ctx5, stream, {}, None)
+    counts = {key: res[key] for key in ("embeddings_total", "extendable", "exceptional", "unclassified")}
+    assert counts == {"embeddings_total": 3072, "extendable": 1536, "exceptional": 1536, "unclassified": 0}
     assert res["soundness_failures"] == res["witness_failures"] == res["route_mismatches"] == 0
     for key in LEMMA_KEYS:
-        assert res["tallies"][key] == {"pass": 3072, "fail": 0}, key
+        assert res["lemma_chain"][key] == {"pass": 3072, "fail": 0}, key
+    assert falsified(res) is False
 
 
 def test_embedding_map_invariants_on_stream(ctx4):
@@ -621,7 +628,7 @@ def root_branch(ctx):
 
 def run_root_branch(ctx):
     """The certification loop on root branch 0."""
-    return verify._run_branches(ctx, root_branch(ctx), None)
+    return verify._certificate(ctx, root_branch(ctx), {}, None)
 
 
 def counting_lemma_chain(monkeypatch, alter=None):
@@ -641,11 +648,12 @@ def test_memo_runs_the_chain_once_per_tuple_and_tallies_every_embedding(ctx4, mo
     res = run_root_branch(ctx4)
     assert len(calls) == 2
     assert sorted(calls) == sorted([ctx4.gid, ctx4.h_gid])
-    total = res["counts"]["total"]
+    total = res["embeddings_total"]
     assert total == ROOT_BRANCH and res["soundness_failures"] == 0
     for key in LEMMA_KEYS:
-        assert res["tallies"][key]["pass"] + res["tallies"][key]["fail"] == total
-        assert res["tallies"][key]["fail"] == 0
+        assert res["lemma_chain"][key]["pass"] + res["lemma_chain"][key]["fail"] == total
+        assert res["lemma_chain"][key]["fail"] == 0
+    assert falsified(res) is False
 
 
 def test_memo_counts_a_cached_failure_once_per_embedding(ctx4, monkeypatch):
@@ -662,10 +670,11 @@ def test_memo_counts_a_cached_failure_once_per_embedding(ctx4, monkeypatch):
     calls = counting_lemma_chain(monkeypatch, fail_endgame_for_h)
     res = run_root_branch(ctx4)
     assert len(calls) == 2
-    exceptional = res["counts"]["exceptional"]
+    exceptional = res["exceptional"]
     assert exceptional == 1152
-    assert res["tallies"]["endgame"]["fail"] == exceptional
+    assert res["lemma_chain"]["endgame"]["fail"] == exceptional
     assert res["route_mismatches"] == exceptional
+    assert falsified(res) is True
 
 
 def swapped_gid(ctx, images):
@@ -696,7 +705,8 @@ def test_memo_reruns_the_chain_for_every_would_be_counterexample(ctx4, monkeypat
     others = sum(1 for fp in stream if fp not in frame_maps)
     assert others > 0
     assert len(calls) == others + len(frame_maps & set(stream))
-    assert res["tallies"]["endgame"]["fail"] == others
+    assert res["lemma_chain"]["endgame"]["fail"] == others
+    assert falsified(res) is True
 
 
 def test_one_normalization_per_embedding(ctx4, monkeypatch):
@@ -718,8 +728,9 @@ def test_one_normalization_per_embedding(ctx4, monkeypatch):
     rejected = sum(1 for images in stream if failing(images))
     assert 0 < rejected < len(stream)
     assert calls == stream
-    assert res["tallies"]["normalize"]["fail"] == res["counts"]["unclassified"] == rejected
+    assert res["lemma_chain"]["normalize"]["fail"] == res["unclassified"] == rejected
     assert res["route_mismatches"] == 0
+    assert falsified(res) is True
 
 
 def test_witness_failures_count_every_broken_constructive_witness(ctx4, monkeypatch):
@@ -734,10 +745,11 @@ def test_witness_failures_count_every_broken_constructive_witness(ctx4, monkeypa
     affected = sum(_normalize_ids(ctx4, images)[3] for images in root_branch(ctx4))
     monkeypatch.setattr(verify, "_normalize_ids", corrupted)
     res = run_root_branch(ctx4)
-    assert 0 < affected < res["counts"]["total"]
+    assert 0 < affected < res["embeddings_total"]
     assert res["witness_failures"] == affected
-    assert res["counts"]["unclassified"] == affected
+    assert res["unclassified"] == affected
     assert res["route_mismatches"] == affected
+    assert falsified(res) is True
 
 
 def test_witness_dump_of_a_complete_run(certificate4_with_dump):
@@ -752,3 +764,34 @@ def test_witness_dump_of_a_complete_run(certificate4_with_dump):
     # every group element is the witness of exactly one line of each kind
     for kind in ("extendable", "exceptional"):
         assert len({parts[2] for parts in lines if parts[1] == kind}) == 40320
+
+
+def test_the_n4_payload_and_dump_are_byte_stable(certificate4_with_dump):
+    # the n = 4 certificate apart from wall_ms, with its key order, and
+    # the witness dump, as the CLI writes them
+    cert, dump = certificate4_with_dump
+    payload = {key: value for key, value in cert.items() if key != "wall_ms"}
+    text = json.dumps(payload, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c83e0294806598b6b288310121175abf12c6b41de5f34e9d12e4da00b9a32a5c"
+    )
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "903ee5efef77e15fc07ba6eaf2590b2a608613c8f0b13c94289796827dfe95db"
+    )
+
+
+FAULTS = [("unclassified",), ("soundness_failures",), ("witness_failures",), ("route_mismatches",)] + [
+    ("lemma_chain", key, "fail") for key in LEMMA_KEYS
+]
+
+
+@pytest.mark.parametrize("path", [None] + FAULTS, ids=["clean"] + ["/".join(p) for p in FAULTS])
+def test_falsified_reads_every_failure_field(certificate4, path):
+    cert = copy.deepcopy(certificate4)
+    if path is not None:
+        *outer, last = path
+        target = cert
+        for key in outer:
+            target = target[key]
+        target[last] = 1
+    assert falsified(cert) is (path is not None)
