@@ -68,10 +68,20 @@ class EmbeddingMap:
     witness: Optional[GraphAutomorphism] = None
 
 
+def _span_walk(vectors: Iterable[int]) -> list[int]:
+    """Every sum of ``vectors``: entry s is the sum of vectors[j] over the
+    set bits j of s.  Over a basis this lists the span, and applied to a
+    matrix's columns it is the matrix's image of every vector s."""
+    out = [0]
+    for w in vectors:
+        out += [v ^ w for v in out]
+    return out
+
+
 @dataclass
 class _STarget:
     bits: tuple[int, ...]
-    full_member_mask: int
+    line_mask: int
     code_members: tuple[int, ...]
 
 
@@ -80,24 +90,27 @@ class LemmaContext:
 
     Everything an embedding check needs is resolved to integer tables
     here once, so the per-embedding work is plain bitmask arithmetic.
-    The code planes' full ids ``gid``, the S_I member sets, the
-    collapse-map images ``h_gid`` and the edge lists ``code_later`` are
-    read off the line tables, with no scan over all planes and no call
-    of ``hmap.h_map``.
+    Both incidence questions are read off the planes' line masks
+    ``vline_mask``: two distinct planes are adjacent iff they share a
+    line, and a plane lies in a subspace iff its three lines do.  The
+    code planes' full ids ``gid``, the S_I member sets, the collapse-map
+    images ``h_gid`` and the edge lists ``code_later`` are read off the
+    line tables, with no scan over all planes and no call of
+    ``hmap.h_map``.
 
     Proof obligations, checked as the tables are built (Falsified when
     one fails):
 
     - S_I is a (|I|+1)-space, and each plane inside it is spanned by any
-      two of its lines, so ``plane_of_pair`` over the pairs of lines of
-      S_I gives its planes; there must be exactly
+      two of its vectors, so ``plane_of_vecs`` over the pairs of nonzero
+      vectors of S_I gives its planes; there must be exactly
       ``gaussian_binomial(|I|+1, 2, 2)`` of them.
     - The collapse map fixes the A class.  Every other code plane goes
       to the span of its lines' images under
       ``hmap.projective_morphism`` (B is fixed pointwise; a C plane goes
       to the span of the twins of its two lines outside H, whose sum is
       its line inside H).  So its image is the plane that
-      ``plane_of_pair`` gives for the images of its two basis lines,
+      ``plane_of_vecs`` gives for the images of its two basis rows,
       and that plane must hold the image of its third line too.
     """
 
@@ -111,31 +124,26 @@ class LemmaContext:
 
         self.full_bits: tuple[tuple[int, ...], ...] = tuple(x.bits for x in self.full.vertices)
 
-        # lines, their ids, the 3-line mask of every plane, and the plane
-        # spanned by each pair of lines
+        # lines, their ids, and the 3-line mask of every plane
         self.lines = enumerate_subspaces(n, 1, 2)
         self.nlines = len(self.lines)
         self.line_bits = tuple(p.bits[0] for p in self.lines)
         self.line_id = {b: i for i, b in enumerate(self.line_bits)}
-        nl = self.nlines
         vmask = []
-        # flat nlines x nlines table; two distinct lines span exactly one
-        # plane, so only the diagonal keeps the -1 filler
-        self.plane_of_pair = [-1] * (nl * nl)
+        # the plane spanned by two vectors, at plane_of_vecs[v << n | w];
+        # two distinct nonzero vectors span exactly one plane, so only the
+        # pairs with a zero or a repeat keep the -1 filler
+        pv = self.plane_of_vecs = [-1] * (1 << 2 * n)
         for vid, (r1, r2) in enumerate(self.full_bits):
-            a, b, c = self.line_id[r1], self.line_id[r2], self.line_id[r1 ^ r2]
-            vmask.append((1 << a) | (1 << b) | (1 << c))
-            for x, y in ((a, b), (a, c), (b, c)):
-                self.plane_of_pair[x * nl + y] = self.plane_of_pair[y * nl + x] = vid
+            r3 = r1 ^ r2
+            vmask.append((1 << self.line_id[r1]) | (1 << self.line_id[r2]) | (1 << self.line_id[r3]))
+            for x, y in ((r1, r2), (r1, r3), (r2, r3)):
+                pv[x << n | y] = pv[y << n | x] = vid
         self.vline_mask = tuple(vmask)
         self.all_lines_mask = (1 << self.nlines) - 1
-        pair = self.plane_of_pair
-
-        def plane_of(r1: int, r2: int) -> int:
-            return pair[self.line_id[r1] * nl + self.line_id[r2]]
 
         # each code plane's full id, and the inverse list (-1 off the code)
-        self.gid: tuple[int, ...] = tuple(plane_of(*x.bits) for x in self.code.vertices)
+        self.gid: tuple[int, ...] = tuple(pv[x.bits[0] << n | x.bits[1]] for x in self.code.vertices)
         code_of_full = [-1] * self.full.nv
         for vid, g in enumerate(self.gid):
             code_of_full[g] = vid
@@ -149,6 +157,12 @@ class LemmaContext:
         self.frame_lids = (self.q_lid,) + self.p_upper[:-1]
         self.frame_dst = tuple(self.line_bits[lid] for lid in self.frame_lids)
         self.pn_in_H = rank_bits(self.frame_dst[1:] + (self.line_bits[self.p_upper[-1]],)) == n - 1
+
+        # the span walk over the frame; frame_unit[t] is the s whose sum is
+        # the t-th basis vector (index raises unless the frame spans)
+        span = _span_walk(self.frame_dst)
+        self.frame_span = tuple(span)
+        self.frame_unit = tuple(span.index(1 << t) for t in range(n))
 
         # supports and complement twins of proper lines
         self.twin = {}
@@ -182,12 +196,13 @@ class LemmaContext:
             self.A_vids[support] = vid
         self.a_singleton = tuple(self.A_vids[frozenset({i})] for i in range(1, n))
         self.b_pair_vids = {
-            (i, j): code_of_full[plane_of(ones ^ (1 << (i - 1)), ones ^ (1 << (j - 1)))]
+            (i, j): code_of_full[pv[(ones ^ (1 << (i - 1))) << n | (ones ^ (1 << (j - 1)))]]
             for i, j in combinations(range(1, n), 2)
         }
 
         # expected spans S_I = Q + sum of the chosen axes; the planes
-        # inside S_I are the planes spanned by pairs of its lines
+        # inside S_I are the planes spanned by pairs of its vectors, and
+        # its line mask holds the lines of its nonzero vectors
         self.subsets = [
             frozenset(c)
             for size in range(1, n)
@@ -196,28 +211,28 @@ class LemmaContext:
         self.S_expected: dict[frozenset[int], _STarget] = {}
         for I in self.subsets:
             red = rref_bits([ones] + [1 << (i - 1) for i in I])
-            vecs = [0]
-            for r in red:
-                vecs += [v ^ r for v in vecs]
-            lids = [self.line_id[v] for v in vecs[1:]]
-            members = {pair[a * nl + b] for x, a in enumerate(lids) for b in lids[x + 1:]}
+            vecs = _span_walk(red)[1:]
+            members = {pv[a << n | b] for x, a in enumerate(vecs) for b in vecs[x + 1:]}
             want = gaussian_binomial(len(I) + 1, 2, 2)
             if len(members) != want:
                 raise Falsified(f"S_{sorted(I)} holds {len(members)} planes, not {want}")
             code_members = tuple(sorted(code_of_full[p] for p in members if code_of_full[p] >= 0))
-            self.S_expected[I] = _STarget(red, sum(1 << p for p in members), code_members)
+            line_mask = sum(1 << self.line_id[v] for v in vecs)
+            self.S_expected[I] = _STarget(red, line_mask, code_members)
         self.three_subsets = [I for I in self.subsets if len(I) == 3]
 
         # collapse-map images (the second proof obligation above)
-        line_img = [self.line_id[hmap.projective_morphism(p).bits[0]] for p in self.lines]
+        vec_img = [0] * (1 << n)
+        for p, b in zip(self.lines, self.line_bits):
+            vec_img[b] = hmap.projective_morphism(p).bits[0]
         h_gid = list(self.gid)
         a_class = set(self.all_A_vids)
         for vid, x in enumerate(self.code.vertices):
             if vid in a_class:
                 continue
             r1, r2 = x.bits
-            pid = pair[line_img[self.line_id[r1]] * nl + line_img[self.line_id[r2]]]
-            if pid < 0 or not (self.vline_mask[pid] >> line_img[self.line_id[r1 ^ r2]]) & 1:
+            pid = pv[vec_img[r1] << n | vec_img[r2]]
+            if pid < 0 or not (self.vline_mask[pid] >> self.line_id[vec_img[r1 ^ r2]]) & 1:
                 raise Falsified(f"the point map sends the lines of {x.inline_text()} into no plane")
             h_gid[vid] = pid
         self.h_gid: tuple[int, ...] = tuple(h_gid)
@@ -230,15 +245,6 @@ class LemmaContext:
             )
         else:
             self.orth_perm = None
-
-        # the set bits of each column of the inverse of the matrix D whose
-        # columns are the frame targets of normalization
-        dst_inv = _solve_cols(list(self.frame_dst), [1 << t for t in range(n)], n)
-        self.frame_dst_inv_bits = tuple(
-            tuple(j for j in range(n) if (c >> j) & 1) for c in dst_inv
-        )
-
-        self._perm_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
         # each code vertex's neighbours with a larger id, for the soundness
         # recheck, read off the set bits of each row above its own id; the
@@ -254,52 +260,29 @@ class LemmaContext:
         """The exhaustive search's order; only the n = 4 route reads it."""
         return greedy_order(self.code.adj)
 
-    def perm_of_cols(self, cols: tuple[int, ...]) -> tuple[int, ...]:
-        """Vertex permutation of the full graph induced by a linear map
-        given as column bitmasks; cached."""
-        cached = self._perm_cache.get(cols)
-        if cached is not None:
-            return cached
-        out = self._plane_images(cols, range(self.full.nv))
-        self._perm_cache[cols] = out
-        return out
-
-    def _plane_images(self, cols: tuple[int, ...], vids: Iterable[int]) -> tuple[int, ...]:
-        """Images of the planes ``vids`` under an invertible linear map:
-        the plane spanned by basis rows r1 and r2 goes to the plane that
-        the lines of their images span, read from the line-pair table.
-
-        The 2^n vectors are pushed through ``cols`` once, each from the
-        vector without its lowest bit.  A singular map sends a nonzero
-        vector to 0, which is no line, so the line lookup raises KeyError;
-        otherwise the map is injective on lines and the table's diagonal
-        filler is never read.
-        """
-        img = [0] * (1 << self.n)
-        for v in range(1, 1 << self.n):
-            low = v & -v
-            img[v] = img[v ^ low] ^ cols[low.bit_length() - 1]
-        line_id = self.line_id
-        image_line = [-1] + [line_id[w] for w in img[1:]]
-        pair, nl, rows = self.plane_of_pair, self.nlines, self.full_bits
+    def _planes_under(self, img: list[int], vids: Iterable[int]) -> tuple[int, ...]:
+        """Images of the planes ``vids`` under the injective vector map
+        ``img``: the plane spanned by basis rows r1 and r2 goes to the
+        plane that img[r1] and img[r2] span."""
+        n, pv, rows = self.n, self.plane_of_vecs, self.full_bits
         out = []
         for vid in vids:
             r1, r2 = rows[vid]
-            out.append(pair[image_line[r1] * nl + image_line[r2]])
+            out.append(pv[img[r1] << n | img[r2]])
         return tuple(out)
 
-    def map_images(self, cols: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
-        """Apply an invertible linear map to a tuple of vertex ids.
+    def map_images(self, cols: tuple[int, ...], vids: Iterable[int]) -> tuple[int, ...]:
+        """Images of the planes ``vids`` under the linear map with these
+        columns.
 
-        At n = 4 matrices repeat heavily across embeddings, so the cached
-        permutation of each one is read; at larger sizes matrices mostly
-        do not repeat, so only the needed ids are mapped, through the
-        images of the lines.  KeyError when the map is singular.
+        The 2^n vectors are pushed through ``cols`` in one span walk.  A
+        singular map sends a nonzero vector to 0, and ValueError is
+        raised, since the table would read its -1 filler there.
         """
-        if self.n == 4:
-            perm = self.perm_of_cols(cols)
-            return tuple([perm[c] for c in images])
-        return self._plane_images(cols, images)
+        img = _span_walk(cols)
+        if img.count(0) != 1:
+            raise ValueError("singular map: a nonzero vector goes to 0")
+        return self._planes_under(img, vids)
 
 
 _CTX_CACHE: dict[int, LemmaContext] = {}
@@ -406,16 +389,17 @@ def is_valid_embedding(ctx: LemmaContext, images: tuple[int, ...]) -> bool:
     """Recheck injectivity and that every code edge lands on a full edge.
 
     Each edge {i, j} with i < j is read once, from ``ctx.code_later[i]``.
-    Only the two adjacency tables are read, never the search's order or
-    domains, so the recheck is independent of the search pruning.
+    Two distinct planes are adjacent iff they share a line, so the edge
+    is tested on the images' line masks.  Neither the search's order and
+    domains nor the full graph's adjacency rows that it prunes with are
+    read, so the recheck is independent of the search.
     """
     if len(set(images)) != len(images):
         return False
-    full_adj = ctx.full.adj
-    for i, later in enumerate(ctx.code_later):
-        row = full_adj[images[i]]
+    masks = [ctx.vline_mask[c] for c in images]
+    for m, later in zip(masks, ctx.code_later):
         for j in later:
-            if not (row >> images[j]) & 1:
+            if not m & masks[j]:
                 return False
     return True
 
@@ -435,19 +419,6 @@ def _common_line(ctx: LemmaContext, vids: Iterator[int]) -> Optional[int]:
     return msk.bit_length() - 1
 
 
-def _solve_cols(src: list[int], dst: list[int], n: int) -> tuple[int, ...]:
-    """Column bitmasks of the matrix sending src[j] to dst[j].
-
-    Reduce the rows (src_j | dst_j << n).  When the sources span, the
-    left block lands on the identity and row t reads off the image of
-    the t-th basis vector; otherwise it cannot, and Falsified is raised.
-    """
-    red = rref_bits(s | (d << n) for s, d in zip(src, dst))
-    if len(red) != n or any((r & ((1 << n) - 1)) != (1 << t) for t, r in enumerate(red)):
-        raise Falsified("frame images do not determine an invertible map")
-    return tuple(r >> n for r in red)
-
-
 _Normalization = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]
 
 
@@ -457,9 +428,8 @@ def _normalize_ids(ctx: LemmaContext, images: tuple[int, ...]) -> _Normalization
 
     Raises Falsified when the image of the unique maximal star is
     neither a star nor a legal top, or when the induced frame images
-    fail to span (``_solve_cols`` rejects those); both would be
-    counterexamples to the cited structure results rather than ordinary
-    data.
+    fail to span; both would be counterexamples to the cited structure
+    results rather than ordinary data.
     """
     a_images = [images[v] for v in ctx.all_A_vids]
     common = _common_line(ctx, iter(a_images))
@@ -484,19 +454,18 @@ def _normalize_ids(ctx: LemmaContext, images: tuple[int, ...]) -> _Normalization
         if got is None:
             raise Falsified(f"image of the star through axis complement {i} has no unique center")
         g1.append(got)
-    src = [ctx.line_bits[l] for l in g1]
-    cols = _solve_cols(src, ctx.frame_dst, ctx.n)
-    # cols = D S^-1 for the source and target columns S and D, so its
-    # inverse S D^-1 has as column t the XOR of the sources over the bits
-    # of column t of the fixed D^-1
-    inv_cols = []
-    for bits in ctx.frame_dst_inv_bits:
-        w = 0
-        for j in bits:
-            w ^= src[j]
-        inv_cols.append(w)
-    f2 = ctx.map_images(cols, f1)
-    return f2, cols, tuple(inv_cols), dualled
+    # one span walk over the frame images: the normalizing map sends
+    # back[s] to ctx.frame_span[s], and a zero at s > 0 means the frame
+    # images do not span
+    back = _span_walk(ctx.line_bits[lid] for lid in g1)
+    if back.count(0) != 1:
+        raise Falsified("frame images do not determine an invertible map")
+    fwd = [0] * len(back)
+    for v, d in zip(back, ctx.frame_span):
+        fwd[v] = d
+    cols = tuple([fwd[1 << t] for t in range(ctx.n)])
+    inv_cols = tuple([back[s] for s in ctx.frame_unit])
+    return ctx._planes_under(fwd, f1), cols, inv_cols, dualled
 
 
 def normalize(ctx: LemmaContext, emb: EmbeddingMap) -> tuple[EmbeddingMap, GraphAutomorphism]:
@@ -552,6 +521,7 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
     """
     fp = emb.images
     gid = ctx.gid
+    vline_mask = ctx.vline_mask
     checks: dict[str, dict] = {}
 
     def record(name: str, passed: bool, witness=None) -> None:
@@ -595,11 +565,13 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
         if not _member_rows(ctx.full_bits[fp[a_vid]], actual):
             if lemma1_ok:
                 lemma1_ok, lemma1_witness = False, {"I": sorted(I)}
+        # a plane lies in S_I iff none of its lines is outside S_I
+        outside = ctx.all_lines_mask ^ target.line_mask if actual == target.bits else None
         for v in target.code_members:
             img = fp[v]
             inside = (
-                (target.full_member_mask >> img) & 1
-                if actual == target.bits
+                not vline_mask[img] & outside
+                if outside is not None
                 else _member_rows(ctx.full_bits[img], actual)
             )
             if not inside:

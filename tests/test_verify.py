@@ -35,9 +35,9 @@ from codegraph.verify import (
     normalize,
     point_map,
     recheck_witness,
+    _member_rows,
     _normalize_ids,
     _order_for,
-    _solve_cols,
 )
 
 
@@ -124,7 +124,43 @@ def test_tables_read_off_the_line_tables_match_the_reference(n):
     expected = brute_force_s_targets(ctx)
     assert list(ctx.S_expected) == list(expected)
     for I, target in ctx.S_expected.items():
-        assert (target.bits, target.full_member_mask, target.code_members) == expected[I], sorted(I)
+        red, mask, members = expected[I]
+        assert (target.bits, target.code_members) == (red, members), sorted(I)
+        # the line mask holds the lines inside S_I, one scan per line
+        lines = sum(1 << lid for lid, b in enumerate(ctx.line_bits) if _member_rows((b,), red))
+        assert target.line_mask == lines, sorted(I)
+        # and a plane lies in S_I iff none of its lines is outside it
+        outside = ctx.all_lines_mask ^ target.line_mask
+        assert sum(1 << vid for vid, m in enumerate(ctx.vline_mask) if not m & outside) == mask, sorted(I)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_two_distinct_planes_are_adjacent_iff_their_line_masks_meet(n):
+    # the soundness recheck's reading of adjacency against the full graph
+    ctx = build_context(n)
+    masks, full = ctx.vline_mask, ctx.full
+    if n < 7:
+        pairs = itertools.combinations(range(full.nv), 2)
+    else:
+        rng = random.Random(70)
+        pairs = (rng.sample(range(full.nv), 2) for _ in range(20000))
+    for a, b in pairs:
+        assert bool(masks[a] & masks[b]) == full.is_edge(a, b), (a, b)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_plane_of_vecs_holds_the_span_of_every_independent_pair(n):
+    ctx = build_context(n)
+    index = ctx.full.index
+    table = ctx.plane_of_vecs
+    assert len(table) == 1 << 2 * n
+    for v in range(1 << n):
+        for w in range(1 << n):
+            got = table[v << n | w]
+            if v and w and v != w:
+                assert got == index[from_bits(rref_bits([v, w]), n)], (v, w)
+            else:
+                assert got == -1, (v, w)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -213,18 +249,22 @@ def moved_off_edge(ctx, images, i, j) -> tuple[int, ...]:
     return tuple(out)
 
 
-def without_full_edge(ctx, a, b):
-    """A view of ``ctx`` whose full graph lacks the one edge {a, b}, so a
-    map sending a code edge onto {a, b} loses exactly that edge."""
+def without_line(ctx, vid, lid):
+    """A view of ``ctx`` whose line mask of plane ``vid`` lacks line
+    ``lid``, so every edge whose images share only that line looks lost."""
+    masks = list(ctx.vline_mask)
+    masks[vid] &= ~(1 << lid)
+    return types.SimpleNamespace(code_later=ctx.code_later, vline_mask=masks)
+
+
+def with_full_edges(ctx, pairs):
+    """A view of ``ctx`` whose full graph's rows have the spurious edges
+    ``pairs`` added, for the pairwise reference, which reads those rows."""
     adj = list(ctx.full.adj)
-    adj[a] &= ~(1 << b)
-    adj[b] &= ~(1 << a)
-    return types.SimpleNamespace(
-        nc=ctx.nc,
-        code=ctx.code,
-        code_later=ctx.code_later,
-        full=types.SimpleNamespace(adj=adj),
-    )
+    for a, b in pairs:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return types.SimpleNamespace(nc=ctx.nc, code=ctx.code, full=types.SimpleNamespace(adj=adj))
 
 
 @pytest.mark.parametrize("n", [4, 5, 7])
@@ -258,13 +298,24 @@ def test_recheck_agrees_with_the_pairwise_reference(n):
         expected = pairwise_recheck(ctx, images)
         assert is_valid_embedding(ctx, images) is expected, name
         assert expected is (name in ("gid", "h_gid") or name.startswith("stream")), name
-    # a map that loses exactly one edge, the first or the last: the target
-    # graph lacks just the image of that edge
     for i, j in (first, last):
         for base in (ctx.gid, ctx.h_gid):
-            view = without_full_edge(ctx, base[i], base[j])
-            assert pairwise_recheck(view, base) is False
+            # a true edge, the first or the last, looks lost: one image's
+            # line mask lacks the line that the edge's images share
+            shared = ctx.vline_mask[base[i]] & ctx.vline_mask[base[j]]
+            assert shared.bit_count() == 1
+            view = without_line(ctx, base[i], shared.bit_length() - 1)
             assert is_valid_embedding(view, base) is False
+            # a map that sends the edge onto a non-adjacent pair, judged
+            # against rows that carry a spurious edge for every lost pair:
+            # the reference reads the rows and passes it, the recheck
+            # reads the planes' lines and does not
+            moved = moved_off_edge(ctx, base, i, j)
+            lost = [(moved[a], moved[b]) for a, later in enumerate(ctx.code_later) for b in later
+                    if not ctx.full.is_edge(moved[a], moved[b])]
+            assert (moved[i], moved[j]) in lost
+            assert pairwise_recheck(with_full_edges(ctx, lost), moved) is True
+            assert is_valid_embedding(ctx, moved) is False
 
 
 def test_stream_is_deterministic(ctx4):
@@ -327,14 +378,7 @@ def test_normalize_dual_restriction(ctx4):
         assert ctx4.full.index[moved] == normed.images[v]
 
 
-def test_solve_cols_rejects_sources_that_do_not_span():
-    basis = [1 << t for t in range(4)]
-    images = [0b0011, 0b0010, 0b0100, 0b1000]
-    assert _solve_cols(basis, images, 4) == tuple(images)
-    with pytest.raises(Falsified):
-        _solve_cols([0b0001, 0b0010, 0b0011, 0b1000], basis, 4)  # dependent
-    with pytest.raises(Falsified):
-        _solve_cols(basis[:3], basis[:3], 4)  # one vector short
+# -- normalization against the elimination route -----------------------------
 
 
 def push(cols: tuple[int, ...], v: int) -> int:
@@ -344,6 +388,117 @@ def push(cols: tuple[int, ...], v: int) -> int:
         if (v >> t) & 1:
             w ^= c
     return w
+
+
+def solve_cols(src, dst, n):
+    """Reference: column bitmasks of the matrix sending src[j] to dst[j].
+
+    Reduce the rows (src_j | dst_j << n).  When the sources span, the
+    left block lands on the identity and row t reads off the image of
+    the t-th basis vector; otherwise it cannot, and Falsified is raised.
+    """
+    red = rref_bits(s | (d << n) for s, d in zip(src, dst))
+    if len(red) != n or any((r & ((1 << n) - 1)) != (1 << t) for t, r in enumerate(red)):
+        raise Falsified("frame images do not determine an invertible map")
+    return tuple(r >> n for r in red)
+
+
+def reference_normalize(ctx, images):
+    """Reference for ``_normalize_ids``: the frame map by elimination, its
+    inverse through the fixed inverse of the frame matrix D."""
+    n = ctx.n
+    a_images = [images[v] for v in ctx.all_A_vids]
+    common = verify._common_line(ctx, iter(a_images))
+    dualled, f1 = False, images
+    if common is None:
+        if ctx.orth_perm is None:
+            raise Falsified("image of the maximal star is not a star")
+        if rank_bits([r for c in a_images for r in ctx.full_bits[c]]) != 3:
+            raise Falsified("image of the maximal star is neither a star nor a top")
+        dualled, f1 = True, tuple(ctx.orth_perm[c] for c in images)
+        common = verify._common_line(ctx, (f1[v] for v in ctx.all_A_vids))
+        if common is None:
+            raise Falsified("orthocomplemented star image is still not a star")
+    g1 = [common]
+    for i, lid in enumerate(ctx.frame_lids[1:], 1):
+        got = verify._common_line(ctx, (f1[v] for v in ctx.sc_code[lid]))
+        if got is None:
+            raise Falsified(f"image of the star through axis complement {i} has no unique center")
+        g1.append(got)
+    src = [ctx.line_bits[lid] for lid in g1]
+    cols = solve_cols(src, ctx.frame_dst, n)
+    # cols = D S^-1, so its inverse S D^-1 has as column t the XOR of the
+    # sources over the set bits of column t of D^-1
+    dst_inv = solve_cols(list(ctx.frame_dst), [1 << t for t in range(n)], n)
+    inv_cols = tuple(push(tuple(src), c) for c in dst_inv)
+    return ctx.map_images(cols, f1), cols, inv_cols, dualled
+
+
+def normalized_or_error(fn, ctx, images):
+    try:
+        return fn(ctx, images)
+    except Falsified as exc:
+        return str(exc)
+
+
+def test_solve_cols_rejects_sources_that_do_not_span():
+    basis = [1 << t for t in range(4)]
+    images = [0b0011, 0b0010, 0b0100, 0b1000]
+    assert solve_cols(basis, images, 4) == tuple(images)
+    with pytest.raises(Falsified):
+        solve_cols([0b0001, 0b0010, 0b0011, 0b1000], basis, 4)  # dependent
+    with pytest.raises(Falsified):
+        solve_cols(basis[:3], basis[:3], 4)  # one vector short
+
+
+def test_normalization_matches_the_elimination_route_on_the_n4_stream(ctx4):
+    stream = list(itertools.islice(verify._embeddings(ctx4, ctx4.search_order), 0, None, 40))
+    assert len(stream) == 2016
+    for images in stream:
+        assert _normalize_ids(ctx4, images) == reference_normalize(ctx4, images)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_normalization_matches_the_elimination_route_on_seeded_maps(n):
+    # restrictions and collapse composites of seeded matrices, some with
+    # two images swapped or one image replaced, so the rejections are
+    # compared too (as their messages)
+    ctx = build_context(n)
+    rng = random.Random(500 + n)
+    outcomes = set()
+    for k in range(200):
+        cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
+        while rank_bits(cols) != n:
+            cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
+        images = list(ctx.map_images(cols, ctx.gid if k % 2 else ctx.h_gid))
+        if k % 4 == 1:
+            a, b = rng.sample(range(ctx.nc), 2)
+            images[a], images[b] = images[b], images[a]
+        elif k % 4 == 3:
+            images[rng.randrange(ctx.nc)] = rng.randrange(ctx.full.nv)
+        images = tuple(images)
+        got = normalized_or_error(_normalize_ids, ctx, images)
+        assert got == normalized_or_error(reference_normalize, ctx, images), k
+        outcomes.add(type(got))
+    assert outcomes == {tuple, str}
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_a_frame_image_that_does_not_span_is_rejected(n):
+    # fault: the star through the second axis complement carries the
+    # images of the star through the first, so both recover the same
+    # center and the frame images repeat a vector
+    ctx = copy.copy(build_context(n))
+    first, second = ctx.frame_lids[1:3]
+    stars = list(ctx.sc_code)
+    stars[second] = stars[first]
+    ctx.sc_code = tuple(stars)
+    for images in (ctx.gid, ctx.h_gid):
+        with pytest.raises(Falsified, match="frame images do not determine an invertible map"):
+            _normalize_ids(ctx, images)
+        assert normalized_or_error(reference_normalize, ctx, images) == (
+            "frame images do not determine an invertible map"
+        )
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -358,8 +513,6 @@ def test_plane_images_match_the_subspace_action(n):
             cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
         want = vertex_permutation(GraphAutomorphism(n, cols_bits_to_rows(cols, n)), ctx.full)
         assert ctx.map_images(cols, every) == want
-        if n == 4:
-            assert ctx.perm_of_cols(cols) == want
 
 
 @pytest.mark.parametrize(
@@ -375,12 +528,8 @@ def test_singular_maps_raise_instead_of_returning_a_plane(n, cols):
     ctx = build_context(n)
     kernel = {v for v in range(1, 1 << n) if push(cols, v) == 0}
     assert kernel
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="singular"):
         ctx.map_images(cols, ctx.gid)
-    if n == 4:
-        with pytest.raises(KeyError):
-            ctx.perm_of_cols(cols)
-        assert cols not in ctx._perm_cache
 
 
 def test_lemma_chain_identity_and_h(ctx4):
@@ -458,7 +607,7 @@ def group_images(ctx4):
     restrictions, composites = [], []
     orth = ctx4.orth_perm
     for cols in gl2_cols_stream(4):
-        p = ctx4.perm_of_cols(cols)
+        p = ctx4.map_images(cols, range(ctx4.full.nv))
         for perm in (p, tuple(orth[t] for t in p)):
             restrictions.append(tuple(perm[t] for t in ctx4.gid))
             composites.append(tuple(perm[t] for t in ctx4.h_gid))
