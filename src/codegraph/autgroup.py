@@ -27,7 +27,7 @@ from .fqlinalg import (
     rref,
     vec_to_bits,
 )
-from .grassmann import CodeGraph, backtrack, greedy_order
+from .grassmann import CodeGraph, SearchPlan, backtrack, greedy_order
 
 Matrix = tuple[Vector, ...]  # row tuples
 
@@ -219,12 +219,14 @@ def graph_automorphisms(g: CodeGraph, collect: bool = False) -> tuple[int, list[
         by_degree[row.bit_count()] |= 1 << c
     domains = [by_degree[row.bit_count()] for row in adj]
     order = greedy_order(adj)
+    # every orbit search shares this plan, so each depth's lists are built once
+    plan = SearchPlan(adj, order, induced=True)
     identity = tuple(range(nv))
     count = 1
     transversals: list[list[tuple[int, ...]]] = []
     for b in order:
         if domains[b] != 1 << b:
-            orbit = _orbit(adj, order, domains, b, identity)
+            orbit = _orbit(plan, domains, b, identity)
             count *= len(orbit)
             transversals.append(orbit)
         domains[b] = 1 << b
@@ -246,7 +248,7 @@ def graph_automorphisms(g: CodeGraph, collect: bool = False) -> tuple[int, list[
 
 
 def _orbit(
-    adj: tuple[int, ...], order: list[int], domains: list[int], b: int, identity: tuple[int, ...]
+    plan: SearchPlan, domains: list[int], b: int, identity: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
     """One transversal element per point of b's orbit under the
     automorphisms that respect ``domains``: each maps b to its point."""
@@ -260,7 +262,7 @@ def _orbit(
             continue
         pinned = list(domains)
         pinned[b] = 1 << t
-        s = next(backtrack(adj, adj, order, pinned, induced=True), None)
+        s = next(backtrack(plan, plan.src_adj, pinned), None)
         if s is None:
             continue
         found.append(s)

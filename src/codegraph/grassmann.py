@@ -11,7 +11,7 @@ automorphisms alike, lives here too.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
@@ -227,97 +227,138 @@ def greedy_order(adj: tuple[int, ...]) -> list[int]:
     return placed
 
 
-def backtrack(
-    src_adj: tuple[int, ...],
-    tgt_adj: tuple[int, ...],
-    order: list[int],
-    domains: list[int],
-    induced: bool = False,
-) -> Iterator[tuple[int, ...]]:
-    """Depth-first enumeration of injective adjacency-preserving maps.
+@dataclass(frozen=True, eq=False)
+class SearchPlan:
+    """The source side of a search: the graph, the order its vertices are
+    assigned in, and whether non-adjacency must be kept too.
 
-    Source vertices are assigned in ``order``; ``domains[v]`` is the
+    ``later[d]`` / ``apart[d]`` hold the vertices after ``order[d]`` in the
+    order that are its neighbours and (only when induced) its
+    non-neighbours, each as ``p - d - 1`` for its position p in the
+    order: its index in a search's snapshot at depth d + 1.  A depth's
+    lists are built when a search first reaches it, so a search that
+    dies early never pays for the deeper levels, and every later search
+    with the same plan reuses them.  The plan belongs to its caller: its
+    lists live exactly as long as the caller keeps it.  Its fields cannot
+    be reassigned, so lists built for one order or mode never serve
+    another.
+    """
+
+    src_adj: tuple[int, ...]
+    order: tuple[int, ...]
+    induced: bool = False
+    later: list = field(init=False, repr=False)
+    apart: list = field(init=False, repr=False)
+    # 0 .. nv-1 once, so every list shares these int objects
+    offsets: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # a copy, so the caller's list cannot change under built lists
+        object.__setattr__(self, "order", tuple(self.order))
+        object.__setattr__(self, "later", [None] * len(self.order))
+        object.__setattr__(self, "apart", [None] * len(self.order))
+        object.__setattr__(self, "offsets", tuple(range(len(self.order))))
+
+    def build(self, d: int) -> None:
+        """Fill ``later[d]`` and ``apart[d]``."""
+        row = self.src_adj[self.order[d]]
+        rest = list(zip(self.offsets, self.order[d + 1 :]))
+        self.later[d] = [j for j, w in rest if (row >> w) & 1]
+        self.apart[d] = [j for j, w in rest if not (row >> w) & 1] if self.induced else []
+
+
+def backtrack(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) -> Iterator[tuple[int, ...]]:
+    """Depth-first enumeration of injective adjacency-preserving maps
+    from ``plan``'s source graph into ``tgt_adj``.
+
+    Source vertices are assigned in ``plan.order``; ``domains[v]`` is the
     bitmask of targets v may start with.  Assigning v to c intersects
     c's neighbourhood into the domains of v's later neighbours (forward
-    checking), and a branch dies as soon as one of them has no unused
-    candidate left.  With ``induced`` the later non-neighbours of v are
-    also confined to the non-neighbours of c, so non-adjacency is
-    preserved too; without it non-adjacent pairs impose nothing, which
-    is the not-necessarily-induced-subgraph reading.  Maps are yielded
-    as tuples indexed by source vertex, in lexicographic order of the
-    images along ``order``.  The search reads no clock: a caller that
-    wants fewer maps stops consuming the generator.
+    checking, Haralick & Elliott 1980), and a branch dies as soon as one
+    of them has no unused candidate left.  With ``plan.induced`` the later
+    non-neighbours of v are also confined to the non-neighbours of c, so
+    non-adjacency is preserved too; without it non-adjacent pairs impose
+    nothing, which is the not-necessarily-induced-subgraph reading.  Maps
+    are yielded as tuples indexed by source vertex, in lexicographic
+    order of the images along the order.  The search reads no clock: a
+    caller that wants fewer maps stops consuming the generator.
+
+    Each depth d keeps its own snapshot of the domains of order[d:], the
+    vertices not yet assigned, with position p at index p - d.  A
+    child's list is its parent's without its first entry, and only the
+    domains an assignment narrows are replaced in it, so the child shares
+    every other int with its parent.  Backing up needs no undo.  At full
+    depth a search holds about nv**2 / 2 list slots, plus one int per
+    narrowing along the path.  The last vertex has no later vertex, so
+    its candidates are yielded straight from its domain.
     """
-    nv = len(src_adj)
-    # later[d] / apart[d] are built when a frame first reaches depth d,
-    # so a search that dies early never pays for the deeper levels
-    later: list = [None] * nv
-    apart: list = [None] * nv
-    later[0], apart[0] = _depth_lists(src_adj, order, 0, induced)
-    cand = list(domains)
-    mapping = [0] * nv
-    # frames: [remaining candidates, used-mask before this level, undo list]
-    frames: list[list] = [[cand[order[0]], 0, None]]
-    while frames:
-        fr = frames[-1]
-        if fr[2] is not None:
-            for w, old in fr[2]:
-                cand[w] = old
-            fr[2] = None
-        m = fr[0]
+    order = plan.order
+    later, apart = plan.later, plan.apart
+    last = len(order) - 1
+    top = order[last]
+    mapping = [0] * len(order)
+    if not last:
+        m = domains[top]
+        while m:
+            b = m & -m
+            m ^= b
+            yield (b.bit_length() - 1,)
+        return
+    # frames indexed by depth: the domains in force, the targets already
+    # used above, and the candidates still to try
+    doms: list = [None] * last
+    used = [0] * last
+    rem = [0] * last
+    doms[0] = [domains[v] for v in order]
+    rem[0] = doms[0][0]
+    if later[0] is None:
+        plan.build(0)
+    d = 0
+    while d >= 0:
+        m = rem[d]
         if not m:
-            frames.pop()
+            d -= 1
             continue
         b = m & -m
-        fr[0] = m ^ b
-        d = len(frames) - 1
+        rem[d] = m ^ b
         c = b.bit_length() - 1
-        free = ~(fr[1] | b)
-        undo: list[tuple[int, int]] = []
-        fr[2] = undo
-        ok = True
+        u = used[d] | b
+        free = ~u
+        child = doms[d][1:]
         adj_c = tgt_adj[c]
-        for w in later[d]:
-            old = cand[w]
-            new = old & adj_c
-            if new != old:
-                cand[w] = new
-                undo.append((w, old))
-                if not new & free:
-                    ok = False
-                    break
-        if ok and apart[d]:
+        for j in later[d]:
+            y = child[j]
+            x = y & adj_c
+            if not x & free:
+                break
+            if x != y:
+                child[j] = x
+        else:
             adj_c = ~adj_c
-            for w in apart[d]:
-                old = cand[w]
-                new = old & adj_c
-                if new != old:
-                    cand[w] = new
-                    undo.append((w, old))
-                    if not new & free:
-                        ok = False
+            for j in apart[d]:
+                y = child[j]
+                x = y & adj_c
+                if x != y:
+                    if not x & free:
                         break
-        if not ok:
-            continue
-        mapping[order[d]] = c
-        d += 1
-        if d == nv:
-            yield tuple(mapping)
-            continue
-        if later[d] is None:
-            later[d], apart[d] = _depth_lists(src_adj, order, d, induced)
-        frames.append([cand[order[d]] & free, ~free, None])
-
-
-def _depth_lists(
-    src_adj: tuple[int, ...], order: list[int], d: int, induced: bool
-) -> tuple[list[int], list[int]]:
-    """The vertices after order[d] in order that are its neighbours, and
-    (only when induced) those that are not."""
-    row = src_adj[order[d]]
-    rest = order[d + 1 :]
-    near = [w for w in rest if (row >> w) & 1]
-    return near, [w for w in rest if not (row >> w) & 1] if induced else []
+                    child[j] = x
+            else:
+                mapping[order[d]] = c
+                d += 1
+                if d < last:
+                    if later[d] is None:
+                        plan.build(d)
+                    doms[d] = child
+                    used[d] = u
+                    rem[d] = child[0] & free
+                    continue
+                m = child[0] & free
+                while m:
+                    b = m & -m
+                    m ^= b
+                    mapping[top] = b.bit_length() - 1
+                    yield tuple(mapping)
+                d -= 1
 
 
 def connected_components(g: CodeGraph) -> list[set[int]]:

@@ -31,7 +31,7 @@ from .fqlinalg import (
     rref_bits,
 )
 from . import hmap
-from .grassmann import KIND_FULL, KIND_NONDEGENERATE, backtrack, build_graph, greedy_order, iter_edges
+from .grassmann import KIND_FULL, KIND_NONDEGENERATE, SearchPlan, backtrack, build_graph, greedy_order, iter_edges
 from .autgroup import (
     GraphAutomorphism,
     apply,
@@ -220,6 +220,13 @@ class LemmaContext:
             line_mask = sum(1 << self.line_id[v] for v in vecs)
             self.S_expected[I] = _STarget(red, line_mask, code_members)
         self.three_subsets = [I for I in self.subsets if len(I) == 3]
+        # each I's span is its prefix's span (I without its largest axis,
+        # listed earlier since subsets go by size) extended by one plane:
+        # (position of the prefix, -1 for a single axis; that plane's vid)
+        position = {I: k for k, I in enumerate(self.subsets)}
+        self.subset_steps = tuple(
+            (position.get(I - {max(I)}, -1), self.a_singleton[max(I) - 1]) for I in self.subsets
+        )
 
         # collapse-map images (the second proof obligation above)
         vec_img = [0] * (1 << n)
@@ -319,13 +326,14 @@ def group_fields(ctx: LemmaContext) -> dict[str, int | bool]:
     an automorphism sends gid to h_gid.
     """
     adj = ctx.full.adj
-    order = greedy_order(adj)
+    # one plan for the three searches below, so each depth's lists are built once
+    plan = SearchPlan(adj, greedy_order(adj), induced=True)
 
     def maps(src: tuple[int, ...], dst: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         domains = [(1 << len(adj)) - 1] * len(adj)
         for s, t in zip(src, dst):
             domains[s] = 1 << t
-        return backtrack(adj, adj, order, domains, induced=True)
+        return backtrack(plan, adj, domains)
 
     group_order = graph_automorphisms(ctx.full)[0]
     generated = grassmann_aut_group(ctx.n, 2, 2).order
@@ -354,7 +362,7 @@ def _embeddings(ctx: LemmaContext, order: list[int]) -> Iterator[tuple[int, ...]
     """Image tuples of every embedding, in lexicographic order of the
     images along ``order``."""
     domains = [(1 << ctx.full.nv) - 1] * ctx.nc
-    return backtrack(ctx.code.adj, ctx.full.adj, order, domains)
+    return backtrack(SearchPlan(ctx.code.adj, order), ctx.full.adj, domains)
 
 
 def _order_for(ctx: LemmaContext, variant: int) -> list[int]:
@@ -513,6 +521,34 @@ def _member_rows(rows: tuple[int, ...], basis: tuple[int, ...]) -> bool:
     return True
 
 
+def _extend_span(basis: tuple[int, ...], rows: tuple[int, ...]) -> tuple[int, ...]:
+    """``rref_bits(basis + rows)`` for a ``basis`` that ``rref_bits``
+    returned: each new row is reduced by the basis rows, and one left
+    nonzero clears its pivot from them and joins them."""
+    out = list(basis)
+    for r in rows:
+        for b in out:
+            if (r >> ((b & -b).bit_length() - 1)) & 1:
+                r ^= b
+        if r:
+            low = r & -r
+            out = [b ^ r if b & low else b for b in out]
+            out.append(r)
+    # pivots increasing; a pivot is the lowest set bit
+    out.sort(key=lambda b: b & -b)
+    return tuple(out)
+
+
+def _subset_spans(ctx: LemmaContext, fp: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The reduced span of the images of the planes of I, for each I of
+    ``ctx.subsets`` in turn, each grown from an earlier one."""
+    spans: list[tuple[int, ...]] = []
+    rows = ctx.full_bits
+    for prev, vid in ctx.subset_steps:
+        spans.append(_extend_span(spans[prev] if prev >= 0 else (), rows[fp[vid]]))
+    return spans
+
+
 def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
     """Run the full invariant chain on a normalized embedding.
 
@@ -552,12 +588,8 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
     lemma1_ok = True
     lemma4_ok = True
     eq4_witness = lemma1_witness = lemma4_witness = None
-    for I in ctx.subsets:
+    for I, actual in zip(ctx.subsets, _subset_spans(ctx, fp)):
         target = ctx.S_expected[I]
-        rows = []
-        for i in I:
-            rows.extend(ctx.full_bits[fp[ctx.a_singleton[i - 1]]])
-        actual = rref_bits(rows)
         if actual != target.bits:
             if eq4_ok:
                 eq4_ok, eq4_witness = False, {"I": sorted(I)}

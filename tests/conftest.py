@@ -81,3 +81,45 @@ def bound_stream(monkeypatch):
         monkeypatch.setattr(verify, "_embeddings", lambda ctx, order: itertools.islice(real(ctx, order), size))
 
     return bound
+
+
+class PlanBuilds:
+    """Every (plan, depth) whose search lists got built, and the number of
+    searches started."""
+
+    def __init__(self) -> None:
+        self.builds: list = []
+        self.searches = 0
+
+    def plans(self) -> set[int]:
+        """The ids of the plans that built lists, after checking that no
+        plan built one depth twice."""
+        keys = [(id(plan), d) for plan, d in self.builds]
+        assert len(keys) == len(set(keys))
+        return {id(plan) for plan, _ in self.builds}
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Record list builds and count the searches started through
+    ``autgroup`` and ``verify``; the records keep each plan alive, so
+    plan ids stay distinct."""
+    from codegraph import autgroup, verify
+    from codegraph.grassmann import SearchPlan
+
+    record = PlanBuilds()
+    real_build = SearchPlan.build
+
+    def build(plan, d):
+        record.builds.append((plan, d))
+        real_build(plan, d)
+
+    monkeypatch.setattr(SearchPlan, "build", build)
+    for module in (autgroup, verify):
+
+        def search(*args, real_search=module.backtrack):
+            record.searches += 1
+            return real_search(*args)
+
+        monkeypatch.setattr(module, "backtrack", search)
+    return record

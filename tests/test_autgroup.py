@@ -216,6 +216,14 @@ def chain_test_graphs() -> list[tuple[int, ...]]:
     return graphs
 
 
+def test_chain_builds_each_depth_once(plan_builds):
+    # every orbit search of the chain reads one plan's lists
+    g = build_graph(5, 2, 2)
+    assert graph_automorphisms(g)[0] == 9999360
+    assert len(plan_builds.plans()) == 1
+    assert plan_builds.searches > 1
+
+
 def test_stabilizer_chain_matches_brute_force():
     for adj in chain_test_graphs():
         count, perms = graph_automorphisms(graph_of(adj), collect=True)

@@ -15,6 +15,7 @@ from codegraph.grassmann import (
     KIND_FULL,
     KIND_NONDEGENERATE,
     CodeGraph,
+    SearchPlan,
     backtrack,
     build_graph,
     connected_components,
@@ -251,11 +252,165 @@ def test_backtrack_matches_brute_force_on_random_graphs():
         domains = [(1 << nt) - 1] * ns
         domains[rng.randrange(ns)] = rng.getrandbits(nt)
         for induced in (False, True):
-            maps = list(backtrack(src, tgt, order, domains, induced=induced))
+            maps = list(backtrack(SearchPlan(src, order, induced), tgt, domains))
             assert len(set(maps)) == len(maps)
             assert set(maps) == brute_force_maps(src, tgt, domains, induced)
             # deterministic: lexicographic in the images along the order
             assert maps == sorted(maps, key=lambda m: [m[v] for v in order])
+
+
+def reference_backtrack(src_adj, tgt_adj, order, domains, induced=False):
+    """The undo-trail kernel that per-depth snapshots replaced: one frame
+    per depth, each holding the (vertex, old domain) pairs it narrowed,
+    restored before the frame's next candidate; a branch dies when a
+    domain that changed has no unused candidate left."""
+    nv = len(src_adj)
+
+    def depth_lists(d):
+        row = src_adj[order[d]]
+        rest = order[d + 1 :]
+        near = [w for w in rest if (row >> w) & 1]
+        return near, [w for w in rest if not (row >> w) & 1] if induced else []
+
+    lists = [depth_lists(d) for d in range(nv)]
+    cand = list(domains)
+    mapping = [0] * nv
+    # frames: [remaining candidates, used-mask before this level, undo list]
+    frames = [[cand[order[0]], 0, None]]
+    while frames:
+        fr = frames[-1]
+        if fr[2] is not None:
+            for w, old in fr[2]:
+                cand[w] = old
+            fr[2] = None
+        m = fr[0]
+        if not m:
+            frames.pop()
+            continue
+        b = m & -m
+        fr[0] = m ^ b
+        d = len(frames) - 1
+        c = b.bit_length() - 1
+        free = ~(fr[1] | b)
+        undo = []
+        fr[2] = undo
+        ok = True
+        later, apart = lists[d]
+        adj_c = tgt_adj[c]
+        for w in later:
+            old = cand[w]
+            new = old & adj_c
+            if new != old:
+                cand[w] = new
+                undo.append((w, old))
+                if not new & free:
+                    ok = False
+                    break
+        if ok and apart:
+            adj_c = ~adj_c
+            for w in apart:
+                old = cand[w]
+                new = old & adj_c
+                if new != old:
+                    cand[w] = new
+                    undo.append((w, old))
+                    if not new & free:
+                        ok = False
+                        break
+        if not ok:
+            continue
+        mapping[order[d]] = c
+        d += 1
+        if d == nv:
+            yield tuple(mapping)
+            continue
+        frames.append([cand[order[d]] & free, ~free, None])
+
+
+def random_search(rng, ns, nt):
+    """A seeded source graph, target graph, order and starting domains,
+    one domain narrowed at random."""
+    src = random_adj(rng, ns, rng.uniform(0.2, 0.8))
+    tgt = random_adj(rng, nt, rng.uniform(0.2, 0.8))
+    order = list(range(ns))
+    rng.shuffle(order)
+    domains = [(1 << nt) - 1] * ns
+    domains[rng.randrange(ns)] = rng.getrandbits(nt)
+    return src, tgt, order, domains
+
+
+@pytest.mark.parametrize("ns", range(1, 8))
+def test_backtrack_matches_the_reference_kernel(ns):
+    # ordered yields equal, in both modes and with narrowed domains; ns = 1
+    # and 2 put the inline last level at depth 0 and 1
+    rng = random.Random(1000 + ns)
+    for _ in range(30):
+        src, tgt, order, domains = random_search(rng, ns, rng.randint(ns, 8))
+        for induced in (False, True):
+            want = list(reference_backtrack(src, tgt, order, domains, induced))
+            assert list(backtrack(SearchPlan(src, order, induced), tgt, domains)) == want
+
+
+@pytest.mark.parametrize("ns", range(1, 8))
+def test_backtrack_with_an_empty_last_domain_yields_nothing(ns):
+    rng = random.Random(2000 + ns)
+    for _ in range(10):
+        src, tgt, order, domains = random_search(rng, ns, rng.randint(ns, 8))
+        domains[order[-1]] = 0
+        for induced in (False, True):
+            assert list(reference_backtrack(src, tgt, order, domains, induced)) == []
+            assert list(backtrack(SearchPlan(src, order, induced), tgt, domains)) == []
+
+
+def test_a_plan_reused_across_searches_yields_what_fresh_plans_yield():
+    # the second and later searches read the lists the first one built
+    rng = random.Random(3)
+    for _ in range(20):
+        src, tgt, order, domains = random_search(rng, 6, 8)
+        for induced in (False, True):
+            plan = SearchPlan(src, order, induced)
+            for _ in range(4):
+                domains = [dom & rng.getrandbits(8) | (1 << rng.randrange(8)) for dom in domains]
+                want = list(reference_backtrack(src, tgt, order, domains, induced))
+                assert list(backtrack(plan, tgt, domains)) == want
+                assert list(backtrack(SearchPlan(src, order, induced), tgt, domains)) == want
+
+
+def test_induced_and_plain_plans_never_share_lists():
+    rng = random.Random(5)
+    differ = 0
+    for _ in range(20):
+        src, tgt, order, domains = random_search(rng, 5, 7)
+        plain, induced = SearchPlan(src, order), SearchPlan(src, order, induced=True)
+        found = {}
+        # alternate the two plans, so a list one built would be read by the other
+        for plan in (plain, induced, plain, induced):
+            maps = list(backtrack(plan, tgt, domains))
+            assert maps == list(reference_backtrack(src, tgt, order, domains, plan.induced))
+            found[plan.induced] = maps
+        differ += found[False] != found[True]
+        # a depth no search reached keeps None; the lists hold offsets
+        # past depth d in the order
+        for plan in (plain, induced):
+            for d, near in enumerate(plan.later):
+                if near is not None:
+                    rest = order[d + 1 :]
+                    assert [rest[j] for j in near] == [w for w in rest if (src[order[d]] >> w) & 1]
+                    far = [w for w in rest if not (src[order[d]] >> w) & 1]
+                    assert [rest[j] for j in plan.apart[d]] == (far if plan.induced else [])
+        assert not {id(x) for x in plain.later + plain.apart if x} & {
+            id(x) for x in induced.later + induced.apart if x
+        }
+    assert differ
+
+
+def test_plan_fields_cannot_be_reassigned():
+    # lists built for one order or mode can never serve another
+    plan = SearchPlan((0b10, 0b01), [1, 0])
+    for name, value in (("order", (0, 1)), ("induced", True), ("src_adj", (0, 0)), ("later", [None] * 2)):
+        with pytest.raises(AttributeError):
+            setattr(plan, name, value)
+    assert plan.order == (1, 0) and plan.induced is False
 
 
 def test_greedy_order_places_connected_vertices_first():

@@ -20,7 +20,7 @@ from codegraph.autgroup import (
     vertex_permutation,
 )
 from codegraph.fqlinalg import from_bits, rank_bits, rref, rref_bits, vec_to_bits
-from codegraph.grassmann import backtrack
+from codegraph.grassmann import SearchPlan, backtrack
 from codegraph.hmap import abc_partition, h_map, line_support, p_copoint, special_frame
 from codegraph.verify import (
     EmbeddingMap,
@@ -330,7 +330,7 @@ def test_h_appears_in_its_branch(ctx4):
     order = _order_for(ctx4, 0)
     domains = [(1 << ctx4.full.nv) - 1] * ctx4.nc
     domains[order[0]] = 1 << ctx4.h_gid[order[0]]
-    assert ctx4.h_gid in backtrack(ctx4.code.adj, ctx4.full.adj, order, domains)
+    assert ctx4.h_gid in backtrack(SearchPlan(ctx4.code.adj, order), ctx4.full.adj, domains)
 
 
 def test_wall_ms_covers_certification_only(ctx4, monkeypatch, bound_stream):
@@ -542,6 +542,77 @@ def test_lemma_chain_identity_and_h(ctx4):
     assert rep["endgame_kind"] == "h"
 
 
+def reference_subset_spans(ctx, fp):
+    """The reduced span of each S_I's plane images, reduced from scratch:
+    one ``rref_bits`` over all the rows of I's planes per subset."""
+    spans = []
+    for I in ctx.subsets:
+        rows = []
+        for i in I:
+            rows.extend(ctx.full_bits[fp[ctx.a_singleton[i - 1]]])
+        spans.append(rref_bits(rows))
+    return spans
+
+
+def assert_chain_matches_the_reference(ctx, images_list, monkeypatch) -> set[str]:
+    """Spans and whole reports equal the per-subset reduction's on every
+    tuple; returns the names of the checks that failed somewhere."""
+    maps = [EmbeddingMap(ctx.n, images) for images in images_list]
+    for emb in maps:
+        assert verify._subset_spans(ctx, emb.images) == reference_subset_spans(ctx, emb.images)
+    reports = [lemma_chain(ctx, emb) for emb in maps]
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_subset_spans", reference_subset_spans)
+        assert [lemma_chain(ctx, emb) for emb in maps] == reports
+    return {name for rep in reports for name, res in rep["checks"].items() if not res["passed"]}
+
+
+def seeded_chain_inputs(ctx, rng, size):
+    """Normalized restrictions and collapse composites of seeded matrices,
+    normalized maps with one collision or one lost edge, as the classify
+    batches draw them, and gid and h_gid with two images swapped or one
+    replaced, unnormalized."""
+    out = []
+    for k in range(size):
+        cols = tuple(rng.randrange(1, 1 << ctx.n) for _ in range(ctx.n))
+        while rank_bits(cols) != ctx.n:
+            cols = tuple(rng.randrange(1, 1 << ctx.n) for _ in range(ctx.n))
+        base = ctx.gid if k % 2 else ctx.h_gid
+        images = list(ctx.map_images(cols, base))
+        v = rng.randrange(ctx.nc)
+        if k % 3 == 1:
+            images[v] = images[rng.choice([w for w in range(ctx.nc) if w != v])]
+        elif k % 3 == 2:
+            u = rng.choice(ctx.code.neighbors(v))
+            images[v] = rng.choice([c for c in range(ctx.full.nv) if not ctx.full.is_edge(c, images[u])])
+        normalized = normalized_or_error(_normalize_ids, ctx, tuple(images))
+        if isinstance(normalized, tuple):
+            out.append(normalized[0])
+        moved = list(base)
+        a, b = rng.sample(range(ctx.nc), 2)
+        moved[a], moved[b] = moved[b], moved[a]
+        moved[rng.randrange(ctx.nc)] = rng.randrange(ctx.full.nv)
+        out.append(tuple(moved))
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_grown_spans_match_the_per_subset_reduction_on_seeded_maps(n, monkeypatch):
+    ctx = build_context(n)
+    failed = assert_chain_matches_the_reference(ctx, seeded_chain_inputs(ctx, random.Random(900 + n), 60), monkeypatch)
+    # the spans that differ from S_I are reached too
+    assert {"eq4", "lemma1", "lemma4"} <= failed
+
+
+def test_grown_spans_match_the_per_subset_reduction_on_the_n4_stream(ctx4, monkeypatch):
+    stream = list(itertools.islice(verify._embeddings(ctx4, ctx4.search_order), 0, None, 40))
+    normalized = [_normalize_ids(ctx4, images)[0] for images in stream]
+    assert set(normalized) == {ctx4.gid, ctx4.h_gid}
+    # the raw images move the S_I, so spans that differ from S_I are reached
+    failed = assert_chain_matches_the_reference(ctx4, stream + normalized, monkeypatch)
+    assert {"eq4", "lemma4"} <= failed
+
+
 def test_lemma5_hypothesis_fails_everywhere_for_h(ctx4):
     # the collapse map moves some member of every 3-subset block
     for I in ctx4.three_subsets:
@@ -646,6 +717,15 @@ def test_group_fields_match_explicit_sets(ctx4, group_images):
         "exceptional_witness_unique": len(set(composites)) == len(composites),
     }
     assert fields["group_order"] == 40320
+
+
+def test_group_fields_build_each_depth_once_per_plan(plan_builds):
+    # one plan for the chain's orbit searches, one for the three searches
+    # with gid and h_gid pinned
+    ctx = build_context(5)
+    assert verify.group_fields(ctx)["group_order"] == 9999360
+    assert len(plan_builds.plans()) == 2
+    assert plan_builds.searches > 4
 
 
 def test_group_fields_past_n4():
