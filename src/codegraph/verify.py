@@ -31,7 +31,7 @@ from .fqlinalg import (
     rref_bits,
 )
 from . import hmap
-from .grassmann import KIND_FULL, KIND_NONDEGENERATE, SearchPlan, backtrack, build_graph, greedy_order, iter_edges
+from .grassmann import KIND_FULL, KIND_NONDEGENERATE, SearchPlan, backtrack, build_graph, greedy_order
 from .autgroup import (
     GraphAutomorphism,
     apply,
@@ -94,7 +94,7 @@ class LemmaContext:
     ``vline_mask``: two distinct planes are adjacent iff they share a
     line, and a plane lies in a subspace iff its three lines do.  The
     code planes' full ids ``gid``, the S_I member sets, the collapse-map
-    images ``h_gid`` and the edge lists ``code_later`` are read off the
+    images ``h_gid`` and the code stars ``code_stars`` are read off the
     line tables, with no scan over all planes and no call of
     ``hmap.h_map``.
 
@@ -112,6 +112,10 @@ class LemmaContext:
       its line inside H).  So its image is the plane that
       ``plane_of_vecs`` gives for the images of its two basis rows,
       and that plane must hold the image of its third line too.
+    - Two distinct planes share at most one line, and two code planes are
+      adjacent iff they share one, so the pairs inside the code stars
+      are code edges, each in one star only.  They must add up to
+      ``code.edge_count``; then every code edge lies in exactly one star.
     """
 
     def __init__(self, n: int):
@@ -182,6 +186,11 @@ class LemmaContext:
             for b in (r1, r2, r1 ^ r2):
                 sc[self.line_id[b]].append(vid)
         self.sc_code = tuple(tuple(v) for v in sc)
+        # the stars with an edge inside (the third proof obligation above)
+        self.code_stars = tuple(s for s in self.sc_code if len(s) > 1)
+        pairs = sum(len(s) * (len(s) - 1) // 2 for s in self.code_stars)
+        if pairs != self.code.edge_count:
+            raise Falsified(f"the code stars hold {pairs} pairs, not the {self.code.edge_count} code edges")
 
         # the A class (the codes through Q) and its indexing by
         # representative support
@@ -252,15 +261,6 @@ class LemmaContext:
             )
         else:
             self.orth_perm = None
-
-        # each code vertex's neighbours with a larger id, for the soundness
-        # recheck, read off the set bits of each row above its own id; the
-        # tuples share the int objects of one id list
-        ids = list(range(self.nc))
-        later: list[list[int]] = [[] for _ in ids]
-        for i, j in iter_edges(self.code):
-            later[i].append(ids[j])
-        self.code_later: tuple[tuple[int, ...], ...] = tuple(map(tuple, later))
 
     @cached_property
     def search_order(self) -> list[int]:
@@ -396,19 +396,26 @@ def enumerate_embeddings(
 def is_valid_embedding(ctx: LemmaContext, images: tuple[int, ...]) -> bool:
     """Recheck injectivity and that every code edge lands on a full edge.
 
-    Each edge {i, j} with i < j is read once, from ``ctx.code_later[i]``.
-    Two distinct planes are adjacent iff they share a line, so the edge
-    is tested on the images' line masks.  Neither the search's order and
-    domains nor the full graph's adjacency rows that it prunes with are
-    read, so the recheck is independent of the search.
+    Every code edge lies in exactly one of ``ctx.code_stars``, and two
+    distinct planes are adjacent iff their line masks meet.  A star whose
+    images share a line keeps its edges; one whose images share none (a
+    top, say) has its pairs tested one by one.  Neither the search's
+    domains nor the full graph's rows are read, so the recheck is
+    independent of the search.
     """
     if len(set(images)) != len(images):
         return False
     masks = [ctx.vline_mask[c] for c in images]
-    for m, later in zip(masks, ctx.code_later):
-        for j in later:
-            if not m & masks[j]:
-                return False
+    for star in ctx.code_stars:
+        common = -1
+        for v in star:
+            common &= masks[v]
+            if not common:
+                break
+        if not common:
+            for a, b in combinations(star, 2):
+                if not masks[a] & masks[b]:
+                    return False
     return True
 
 
@@ -449,7 +456,7 @@ def _normalize_ids(ctx: LemmaContext, images: tuple[int, ...]) -> _Normalization
         rows: list[int] = []
         for c in a_images:
             rows.extend(ctx.full_bits[c])
-        if len(rref_bits(rows)) != 3:
+        if rank_bits(rows) != 3:
             raise Falsified("image of the maximal star is neither a star nor a top")
         dualled = True
         f1 = tuple([ctx.orth_perm[c] for c in images])
@@ -557,31 +564,18 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
     """
     fp = emb.images
     gid = ctx.gid
-    vline_mask = ctx.vline_mask
+    masks = [ctx.vline_mask[c] for c in fp]
     checks: dict[str, dict] = {}
 
     def record(name: str, passed: bool, witness=None) -> None:
         checks[name] = {"passed": bool(passed), "witness": witness}
 
-    bad = next(
-        (i for i in range(1, ctx.n) if fp[ctx.a_singleton[i - 1]] != gid[ctx.a_singleton[i - 1]]),
-        None,
-    )
+    bad = next((i for i, v in enumerate(ctx.a_singleton, 1) if fp[v] != gid[v]), None)
     record("eq1", bad is None, None if bad is None else {"axis": bad})
 
-    rows: list[int] = []
-    for i in range(1, ctx.n):
-        rows.extend(ctx.full_bits[fp[ctx.a_singleton[i - 1]]])
-    record("eq2", rank_bits(rows) == ctx.n)
+    record("eq2", rank_bits([r for v in ctx.a_singleton for r in ctx.full_bits[fp[v]]]) == ctx.n)
 
-    bad = next(
-        (
-            (i, j)
-            for (i, j), vid in ctx.b_pair_vids.items()
-            if fp[vid] != gid[vid]
-        ),
-        None,
-    )
+    bad = next((pair for pair, v in ctx.b_pair_vids.items() if fp[v] != gid[v]), None)
     record("eq3", bad is None, None if bad is None else {"pair": bad})
 
     eq4_ok = True
@@ -590,47 +584,44 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
     eq4_witness = lemma1_witness = lemma4_witness = None
     for I, actual in zip(ctx.subsets, _subset_spans(ctx, fp)):
         target = ctx.S_expected[I]
-        if actual != target.bits:
-            if eq4_ok:
-                eq4_ok, eq4_witness = False, {"I": sorted(I)}
-        a_vid = ctx.A_vids[I]
-        if not _member_rows(ctx.full_bits[fp[a_vid]], actual):
-            if lemma1_ok:
-                lemma1_ok, lemma1_witness = False, {"I": sorted(I)}
-        # a plane lies in S_I iff none of its lines is outside S_I
-        outside = ctx.all_lines_mask ^ target.line_mask if actual == target.bits else None
-        for v in target.code_members:
-            img = fp[v]
-            inside = (
-                not vline_mask[img] & outside
-                if outside is not None
-                else _member_rows(ctx.full_bits[img], actual)
-            )
-            if not inside:
-                if lemma4_ok:
-                    lemma4_ok, lemma4_witness = False, {"I": sorted(I), "vertex": v}
-                break
+        if eq4_ok and actual != target.bits:
+            eq4_ok, eq4_witness = False, {"I": sorted(I)}
+        if lemma1_ok and not _member_rows(ctx.full_bits[fp[ctx.A_vids[I]]], actual):
+            lemma1_ok, lemma1_witness = False, {"I": sorted(I)}
+        if not lemma4_ok:
+            continue
+        members = target.code_members
+        if actual == target.bits:
+            # a plane lies in S_I iff none of its lines is outside S_I, so
+            # the members are scanned only when their lines leave S_I
+            outside = ctx.all_lines_mask ^ target.line_mask
+            union = 0
+            for v in members:
+                union |= masks[v]
+            bad = next((v for v in members if masks[v] & outside), None) if union & outside else None
+        else:
+            bad = next((v for v in members if not _member_rows(ctx.full_bits[fp[v]], actual)), None)
+        if bad is not None:
+            lemma4_ok, lemma4_witness = False, {"I": sorted(I), "vertex": bad}
     record("eq4", eq4_ok, eq4_witness)
     record("lemma1", lemma1_ok, lemma1_witness)
     record("lemma4", lemma4_ok, lemma4_witness)
 
-    bad = next(
-        (I for I in ctx.subsets if fp[ctx.A_vids[I]] != gid[ctx.A_vids[I]]), None
-    )
+    bad = next((I for I in ctx.subsets if fp[ctx.A_vids[I]] != gid[ctx.A_vids[I]]), None)
     record("lemma2", bad is None, None if bad is None else {"I": sorted(bad)})
 
     lemma3_ok = True
     lemma3_witness = None
     for lid in ctx.gprime_lids:
-        got = _common_line(ctx, (fp[v] for v in ctx.sc_code[lid]))
-        if got is None:
+        common = ctx.all_lines_mask
+        for v in ctx.sc_code[lid]:
+            common &= masks[v]
+        if common.bit_count() != 1:
             lemma3_ok, lemma3_witness = False, {"line": ctx.lines[lid].inline_text()}
             break
-        if lid == ctx.q_lid:
-            allowed = (lid,)
-        else:
-            allowed = (lid, ctx.twin[lid])
-        if got not in allowed:
+        got = common.bit_length() - 1
+        # the line may go to itself or to its twin; Q has no twin
+        if got not in (lid, ctx.twin.get(lid)):
             lemma3_ok, lemma3_witness = False, {
                 "line": ctx.lines[lid].inline_text(),
                 "image": ctx.lines[got].inline_text(),
@@ -641,9 +632,10 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
     lemma5_ok = True
     lemma5_witness = None
     identity = fp == gid
-    for I in ctx.three_subsets:
-        hyp = all(fp[v] == gid[v] for v in ctx.S_expected[I].code_members)
-        if hyp and not identity:
+    # the identity passes whatever the hypothesis says
+    for I in () if identity else ctx.three_subsets:
+        members = ctx.S_expected[I].code_members
+        if [fp[v] for v in members] == [gid[v] for v in members]:
             lemma5_ok, lemma5_witness = False, {"I": sorted(I)}
             break
     record("lemma5", lemma5_ok, lemma5_witness)

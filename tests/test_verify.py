@@ -229,8 +229,7 @@ def pairwise_recheck(ctx, images) -> bool:
 
 
 def code_edges(ctx) -> list[tuple[int, int]]:
-    """Code edges (i, j), i < j, read off the code adjacency rows, in the
-    order the recheck visits them."""
+    """Code edges (i, j), i < j, read off the code adjacency rows."""
     return [
         (i, j) for i in range(ctx.nc) for j in range(i + 1, ctx.nc) if ctx.code.is_edge(i, j)
     ]
@@ -254,7 +253,7 @@ def without_line(ctx, vid, lid):
     ``lid``, so every edge whose images share only that line looks lost."""
     masks = list(ctx.vline_mask)
     masks[vid] &= ~(1 << lid)
-    return types.SimpleNamespace(code_later=ctx.code_later, vline_mask=masks)
+    return types.SimpleNamespace(code_stars=ctx.code_stars, vline_mask=masks)
 
 
 def with_full_edges(ctx, pairs):
@@ -267,12 +266,30 @@ def with_full_edges(ctx, pairs):
     return types.SimpleNamespace(nc=ctx.nc, code=ctx.code, full=types.SimpleNamespace(adj=adj))
 
 
+def star_common_line(ctx, images, star) -> int:
+    """The mask of the lines that the images of ``star`` all share."""
+    common = ctx.all_lines_mask
+    for v in star:
+        common &= ctx.vline_mask[images[v]]
+    return common
+
+
 @pytest.mark.parametrize("n", [4, 5, 7])
-def test_edge_table_lists_every_code_edge_once(n):
+def test_code_stars_hold_every_code_edge_once(n):
     ctx = build_context(n)
-    assert sum(map(len, ctx.code_later)) == ctx.code.edge_count
-    assert all(j > i for i, later in enumerate(ctx.code_later) for j in later)
-    assert [(i, j) for i, later in enumerate(ctx.code_later) for j in later] == code_edges(ctx)
+    pairs = sorted(p for star in ctx.code_stars for p in itertools.combinations(star, 2))
+    assert pairs == code_edges(ctx)
+    assert ctx.code_stars == tuple(s for s in ctx.sc_code if len(s) >= 2)
+
+
+def test_context_refuses_stars_that_miss_an_edge(monkeypatch):
+    # fault: the A-class star reads as holding a single plane, so it drops
+    # out of the code stars and the recheck would skip its edges
+    ctx = build_context(4)
+    dropped = ctx.sc_code[ctx.q_lid]
+    monkeypatch.setattr(verify, "len", lambda x: 1 if x == dropped else len(x), raising=False)
+    with pytest.raises(Falsified, match="pairs, not the 51 code edges"):
+        verify.LemmaContext(4)
 
 
 @pytest.mark.parametrize("n", [4, 5, 7])
@@ -284,7 +301,14 @@ def test_recheck_agrees_with_the_pairwise_reference(n):
     maps = {"gid": ctx.gid, "h_gid": ctx.h_gid}
     if n == 4:
         stream = itertools.islice(enumerate_embeddings(4, ctx=ctx), 0, 8000, 40)
-        maps.update((f"stream-{k}", e.images) for k, e in enumerate(stream))
+        for k, e in enumerate(stream):
+            dual = _normalize_ids(ctx, e.images)[3]
+            maps[f"{'dual-' if dual else ''}stream-{k}"] = e.images
+            if dual:
+                # every star of three or more is sent to a top, so its
+                # pairs are tested one by one
+                assert not any(star_common_line(ctx, e.images, s) for s in ctx.code_stars if len(s) > 2)
+        assert sum(name.startswith("dual-") for name in maps) >= 50
     for base_name, base in (("gid", ctx.gid), ("h_gid", ctx.h_gid)):
         collided = list(base)
         collided[-1] = collided[0]
@@ -294,10 +318,21 @@ def test_recheck_agrees_with_the_pairwise_reference(n):
         swapped = list(base)
         swapped[first[0]], swapped[last[1]] = swapped[last[1]], swapped[first[0]]
         maps[f"{base_name}-swapped"] = tuple(swapped)
+        # an edge lost inside the largest star: the last member's image
+        # still meets the first's but not the second's, and the other
+        # images keep their common line
+        star = max(ctx.code_stars, key=len)
+        moved = list(base)
+        moved[star[-1]] = next(
+            t for t in range(ctx.full.nv)
+            if t not in base and ctx.full.is_edge(t, base[star[0]]) and not ctx.full.is_edge(t, base[star[1]])
+        )
+        assert star_common_line(ctx, moved, star[:-1]) and not star_common_line(ctx, moved, star)
+        maps[f"{base_name}-lost-in-star"] = tuple(moved)
     for name, images in maps.items():
         expected = pairwise_recheck(ctx, images)
         assert is_valid_embedding(ctx, images) is expected, name
-        assert expected is (name in ("gid", "h_gid") or name.startswith("stream")), name
+        assert expected is (name in ("gid", "h_gid") or "stream" in name), name
     for i, j in (first, last):
         for base in (ctx.gid, ctx.h_gid):
             # a true edge, the first or the last, looks lost: one image's
@@ -311,8 +346,7 @@ def test_recheck_agrees_with_the_pairwise_reference(n):
             # the reference reads the rows and passes it, the recheck
             # reads the planes' lines and does not
             moved = moved_off_edge(ctx, base, i, j)
-            lost = [(moved[a], moved[b]) for a, later in enumerate(ctx.code_later) for b in later
-                    if not ctx.full.is_edge(moved[a], moved[b])]
+            lost = [(moved[a], moved[b]) for a, b in code_edges(ctx) if not ctx.full.is_edge(moved[a], moved[b])]
             assert (moved[i], moved[j]) in lost
             assert pairwise_recheck(with_full_edges(ctx, lost), moved) is True
             assert is_valid_embedding(ctx, moved) is False
@@ -554,16 +588,139 @@ def reference_subset_spans(ctx, fp):
     return spans
 
 
-def assert_chain_matches_the_reference(ctx, images_list, monkeypatch) -> set[str]:
-    """Spans and whole reports equal the per-subset reduction's on every
+def reference_lemma_chain(ctx, fp):
+    """Reference invariant chain, one plain loop per check: lemma3 finds
+    each star's centre through ``_common_line``, lemma4 tests every S_I
+    member's line mask in turn, lemma5 tests its hypothesis member by
+    member, and the spans come from ``reference_subset_spans``."""
+    gid = ctx.gid
+    vline_mask = ctx.vline_mask
+    checks: dict[str, dict] = {}
+
+    def record(name: str, passed: bool, witness=None) -> None:
+        checks[name] = {"passed": bool(passed), "witness": witness}
+
+    bad = next(
+        (i for i in range(1, ctx.n) if fp[ctx.a_singleton[i - 1]] != gid[ctx.a_singleton[i - 1]]),
+        None,
+    )
+    record("eq1", bad is None, None if bad is None else {"axis": bad})
+
+    rows: list[int] = []
+    for i in range(1, ctx.n):
+        rows.extend(ctx.full_bits[fp[ctx.a_singleton[i - 1]]])
+    record("eq2", rank_bits(rows) == ctx.n)
+
+    bad = next(
+        (
+            (i, j)
+            for (i, j), vid in ctx.b_pair_vids.items()
+            if fp[vid] != gid[vid]
+        ),
+        None,
+    )
+    record("eq3", bad is None, None if bad is None else {"pair": bad})
+
+    eq4_ok = True
+    lemma1_ok = True
+    lemma4_ok = True
+    eq4_witness = lemma1_witness = lemma4_witness = None
+    for I, actual in zip(ctx.subsets, reference_subset_spans(ctx, fp)):
+        target = ctx.S_expected[I]
+        if actual != target.bits:
+            if eq4_ok:
+                eq4_ok, eq4_witness = False, {"I": sorted(I)}
+        a_vid = ctx.A_vids[I]
+        if not _member_rows(ctx.full_bits[fp[a_vid]], actual):
+            if lemma1_ok:
+                lemma1_ok, lemma1_witness = False, {"I": sorted(I)}
+        # a plane lies in S_I iff none of its lines is outside S_I
+        outside = ctx.all_lines_mask ^ target.line_mask if actual == target.bits else None
+        for v in target.code_members:
+            img = fp[v]
+            inside = (
+                not vline_mask[img] & outside
+                if outside is not None
+                else _member_rows(ctx.full_bits[img], actual)
+            )
+            if not inside:
+                if lemma4_ok:
+                    lemma4_ok, lemma4_witness = False, {"I": sorted(I), "vertex": v}
+                break
+    record("eq4", eq4_ok, eq4_witness)
+    record("lemma1", lemma1_ok, lemma1_witness)
+    record("lemma4", lemma4_ok, lemma4_witness)
+
+    bad = next(
+        (I for I in ctx.subsets if fp[ctx.A_vids[I]] != gid[ctx.A_vids[I]]), None
+    )
+    record("lemma2", bad is None, None if bad is None else {"I": sorted(bad)})
+
+    lemma3_ok = True
+    lemma3_witness = None
+    for lid in ctx.gprime_lids:
+        got = verify._common_line(ctx, (fp[v] for v in ctx.sc_code[lid]))
+        if got is None:
+            lemma3_ok, lemma3_witness = False, {"line": ctx.lines[lid].inline_text()}
+            break
+        if lid == ctx.q_lid:
+            allowed = (lid,)
+        else:
+            allowed = (lid, ctx.twin[lid])
+        if got not in allowed:
+            lemma3_ok, lemma3_witness = False, {
+                "line": ctx.lines[lid].inline_text(),
+                "image": ctx.lines[got].inline_text(),
+            }
+            break
+    record("lemma3", lemma3_ok, lemma3_witness)
+
+    lemma5_ok = True
+    lemma5_witness = None
+    identity = fp == gid
+    for I in ctx.three_subsets:
+        hyp = all(fp[v] == gid[v] for v in ctx.S_expected[I].code_members)
+        if hyp and not identity:
+            lemma5_ok, lemma5_witness = False, {"I": sorted(I)}
+            break
+    record("lemma5", lemma5_ok, lemma5_witness)
+
+    if identity:
+        kind = "identity"
+    elif fp == ctx.h_gid:
+        kind = "h"
+    else:
+        kind = None
+    record("endgame", kind is not None, None if kind else {"reason": "normalized map is neither identity nor the collapse"})
+
+    g1_pn_ok = False
+    g1_pn_witness = None
+    pn_lid = ctx.p_upper[ctx.n - 1]
+    got = verify._common_line(ctx, (fp[v] for v in ctx.sc_code[pn_lid]))
+    if got is not None and kind is not None:
+        # the collapse map fixes the lines inside H and twins the others
+        expected = pn_lid if kind == "identity" or ctx.pn_in_H else ctx.p_lower[ctx.n - 1]
+        g1_pn_ok = got == expected
+        if not g1_pn_ok:
+            g1_pn_witness = {"image": ctx.lines[got].inline_text()}
+    record("g1_pn", g1_pn_ok, g1_pn_witness)
+
+    return {
+        "checks": checks,
+        "endgame_kind": kind,
+        "pn_in_H": ctx.pn_in_H,
+    }
+
+
+def assert_chain_matches_the_reference(ctx, images_list) -> set[str]:
+    """Spans equal the per-subset reduction's, and whole reports (checks,
+    witnesses, endgame kind) equal ``reference_lemma_chain``'s, on every
     tuple; returns the names of the checks that failed somewhere."""
-    maps = [EmbeddingMap(ctx.n, images) for images in images_list]
-    for emb in maps:
-        assert verify._subset_spans(ctx, emb.images) == reference_subset_spans(ctx, emb.images)
-    reports = [lemma_chain(ctx, emb) for emb in maps]
-    with monkeypatch.context() as m:
-        m.setattr(verify, "_subset_spans", reference_subset_spans)
-        assert [lemma_chain(ctx, emb) for emb in maps] == reports
+    reports = []
+    for images in images_list:
+        assert verify._subset_spans(ctx, images) == reference_subset_spans(ctx, images)
+        reports.append(lemma_chain(ctx, EmbeddingMap(ctx.n, images)))
+        assert reports[-1] == reference_lemma_chain(ctx, images), images
     return {name for rep in reports for name, res in rep["checks"].items() if not res["passed"]}
 
 
@@ -597,19 +754,20 @@ def seeded_chain_inputs(ctx, rng, size):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_grown_spans_match_the_per_subset_reduction_on_seeded_maps(n, monkeypatch):
+def test_grown_spans_match_the_per_subset_reduction_on_seeded_maps(n):
     ctx = build_context(n)
-    failed = assert_chain_matches_the_reference(ctx, seeded_chain_inputs(ctx, random.Random(900 + n), 60), monkeypatch)
-    # the spans that differ from S_I are reached too
-    assert {"eq4", "lemma1", "lemma4"} <= failed
+    failed = assert_chain_matches_the_reference(ctx, seeded_chain_inputs(ctx, random.Random(900 + n), 60))
+    # the spans that differ from S_I are reached too, and every loop that
+    # reads the mask list fails somewhere (lemma5 only has room past n = 4)
+    assert {"eq4", "lemma1", "lemma3", "lemma4"} | ({"lemma5"} if n > 4 else set()) <= failed
 
 
-def test_grown_spans_match_the_per_subset_reduction_on_the_n4_stream(ctx4, monkeypatch):
+def test_grown_spans_match_the_per_subset_reduction_on_the_n4_stream(ctx4):
     stream = list(itertools.islice(verify._embeddings(ctx4, ctx4.search_order), 0, None, 40))
     normalized = [_normalize_ids(ctx4, images)[0] for images in stream]
     assert set(normalized) == {ctx4.gid, ctx4.h_gid}
     # the raw images move the S_I, so spans that differ from S_I are reached
-    failed = assert_chain_matches_the_reference(ctx4, stream + normalized, monkeypatch)
+    failed = assert_chain_matches_the_reference(ctx4, stream + normalized)
     assert {"eq4", "lemma4"} <= failed
 
 
