@@ -16,78 +16,71 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
-from .errors import Falsified, ParameterError
-from .fqlinalg import (
-    Subspace,
-    Vector,
-    check_space,
-    full_space,
-    nullspace,
-    rank_bits,
-    rref,
-    vec_to_bits,
-)
+from .errors import ParameterError
+from .fqlinalg import Subspace, Vector, check_space, from_bits, nullspace, rank_bits, rref_bits
 from .grassmann import CodeGraph, SearchPlan, backtrack, greedy_order
-
-Matrix = tuple[Vector, ...]  # row tuples
-
-
-def _mat_vec(a: Matrix, v: Vector, q: int) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) % q for row in a)
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
 class GraphAutomorphism:
-    """Invertible n x n matrix over F_2 plus an orthocomplement flag."""
+    """Invertible n x n matrix over F_2 held as packed columns (bit i of
+    cols[j] is entry (i, j)), plus an orthocomplement flag."""
 
     n: int
-    rows: Matrix
+    cols: tuple[int, ...]
     dual: bool = False
 
     def __post_init__(self) -> None:
         n = self.n
-        if len(self.rows) != n or any(len(row) != n or not set(row) <= {0, 1} for row in self.rows):
-            raise ParameterError(f"need a {n}x{n} matrix with entries in {{0, 1}}")
-        if rank_bits(vec_to_bits(row) for row in self.rows) != n:
+        if len(self.cols) != n or any(not 0 <= c < 1 << n for c in self.cols):
+            raise ParameterError(f"need {n} columns of {n} bits")
+        if rank_bits(self.cols) != n:
             raise ParameterError("matrix is singular")
 
     @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The matrix's row tuples, read off the columns."""
+        return tuple(tuple((c >> i) & 1 for c in self.cols) for i in range(self.n))
+
+    @property
     def is_identity(self) -> bool:
-        return not self.dual and self.rows == _identity(self.n)
+        return self == identity_automorphism(self.n)
 
 
-def matrix_inline_text(rows: Matrix, dual: bool) -> str:
-    """One-line form of a matrix and dual flag, as in witness dumps."""
-    return ",".join("".join(str(c) for c in row) for row in rows) + (
-        " dual=1" if dual else " dual=0"
-    )
+def matrix_inline_text(cols: tuple[int, ...], dual: bool) -> str:
+    """One-line form of a matrix, given by its packed columns, and dual
+    flag, as in witness dumps: the rows, comma-separated."""
+    rows = ("".join(str((c >> i) & 1) for c in cols) for i in range(len(cols)))
+    return ",".join(rows) + (" dual=1" if dual else " dual=0")
 
 
 def identity_automorphism(n: int) -> GraphAutomorphism:
-    return GraphAutomorphism(n, _identity(n))
+    return GraphAutomorphism(n, tuple(1 << i for i in range(n)))
 
 
-def orthocomplement(x: Subspace, form: Matrix | None = None) -> Subspace:
-    """Orthogonal complement under the standard dot product (or the
-    given symmetric form): all v with x_row · form · v = 0."""
-    if x.k == 0:
-        return full_space(x.n, x.q)
-    rows = x.rows if form is None else tuple(_mat_vec(form, r, x.q) for r in x.rows)
-    # v is in the complement iff (rows) v = 0 since the form is symmetric
-    return nullspace(rows, x.n, x.q)
+def orthocomplement(x: Subspace) -> Subspace:
+    """Orthogonal complement under the standard dot product: all v with
+    r · v = 0 for every basis row r of x."""
+    return nullspace(x.rows, x.n, x.q)
 
 
 def apply(a: GraphAutomorphism, x: Subspace) -> Subspace:
-    """Image subspace; matrix action first, then orthocomplement if dual."""
+    """Image subspace; matrix action first, then orthocomplement if dual.
+
+    Each packed basis row r goes to the sum of the columns at the set
+    bits of r."""
     if a.n != x.n or x.q != 2:
         raise ParameterError("automorphism and subspace live in different spaces")
     if a.dual and x.n != 2 * x.k:
         raise ParameterError("dual flag needs ambient dimension twice the subspace dimension")
-    image = rref([_mat_vec(a.rows, v, 2) for v in x.rows], x.n, 2)
+    pushed = []
+    for r in x.bits:
+        w = 0
+        for j, c in enumerate(a.cols):
+            if (r >> j) & 1:
+                w ^= c
+        pushed.append(w)
+    image = from_bits(rref_bits(pushed), x.n)
     return orthocomplement(image) if a.dual else image
 
 
@@ -129,11 +122,6 @@ def gl2_cols_stream(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec()
 
 
-def cols_bits_to_rows(cols: tuple[int, ...], n: int) -> Matrix:
-    """Row tuples of the matrix whose columns are the given bitmasks."""
-    return tuple(tuple((cols[j] >> i) & 1 for j in range(n)) for i in range(n))
-
-
 @dataclass(frozen=True)
 class GroupHandle:
     """A generated automorphism group, by description and order."""
@@ -173,9 +161,10 @@ def vertex_permutation(a: GraphAutomorphism, g: CodeGraph) -> tuple[int, ...]:
 # maps, with no matrices
 
 
-def graph_automorphisms(g: CodeGraph, collect: bool = False) -> tuple[int, list[tuple[int, ...]]]:
-    """Count (and optionally collect) all adjacency-preserving vertex
-    bijections of g, through a stabilizer chain (Sims 1970).
+def graph_automorphisms(g: CodeGraph) -> tuple[int, list[list[tuple[int, ...]]]]:
+    """Count all adjacency-preserving vertex bijections of g, through a
+    stabilizer chain (Sims 1970); return the count and the chain's
+    transversals.
 
     Base points b_1, b_2, ... are taken in ``greedy_order``.  G_0 is the
     whole group and G_i fixes b_1..b_i.  Each vertex starts from the
@@ -187,8 +176,8 @@ def graph_automorphisms(g: CodeGraph, collect: bool = False) -> tuple[int, list[
     other candidate is decided by one first-solution ``backtrack`` with
     b_i pinned to it.  Each orbit point keeps one transversal element,
     an automorphism of G_{i-1} sending b_i there.  The count is the
-    product of the orbit sizes; ``collect`` returns every product of
-    transversal elements, one per group element, in no fixed order.
+    product of the orbit sizes.  Each level with a non-trivial orbit
+    gives one transversal, listed in base order.
 
     Proof obligations:
 
@@ -209,8 +198,8 @@ def graph_automorphisms(g: CodeGraph, collect: bool = False) -> tuple[int, list[
       already {b_i} has orbit {b_i}, and the stabilizer of every vertex
       is trivial, so the count is exact.
     - Every element factors uniquely as u_1 u_2 ... with u_i in the
-      i-th transversal, so the collected maps are distinct; that is
-      checked at run time and a shortfall raises Falsified.
+      i-th transversal, so the products of transversal elements are the
+      group, each element once.
     """
     adj = g.adj
     nv = len(adj)
@@ -235,16 +224,7 @@ def graph_automorphisms(g: CodeGraph, collect: bool = False) -> tuple[int, list[
         for w in range(nv):
             if w != b:
                 domains[w] &= near if (near >> w) & 1 else far
-    perms: list[tuple[int, ...]] = []
-    if collect:
-        perms = [identity]
-        for level in transversals:
-            perms = [tuple(p[x] for x in u) for p in perms for u in level]
-        if len(set(perms)) != count:
-            raise Falsified(
-                f"{len(set(perms))} distinct products of transversal elements, not {count}"
-            )
-    return count, perms
+    return count, transversals
 
 
 def _orbit(

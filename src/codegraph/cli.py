@@ -29,8 +29,9 @@ EXIT_FALSIFIED = 1
 EXIT_BAD_CONFIG = 2
 
 # the largest full graph aut --direct counts; on a 2-core x86-64 host
-# G(6,2) (651 vertices) takes about 5 s, while G(5,2) over F_3 and
-# G(6,3) (1210 and 1395 vertices) would take 16-21 s
+# under Python 3.11 the count of G(6,2) (651 vertices) takes 1.6-1.9 s
+# of CPU (the whole command about 2.2 s), while G(5,2) over F_3 and
+# G(6,3) (1210 and 1395 vertices) would take 7-10 s
 DIRECT_MAX_VERTICES = 1000
 
 

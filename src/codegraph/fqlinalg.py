@@ -94,23 +94,34 @@ def standard_basis_vector(i: int, n: int) -> Vector:
 # elimination kernels
 
 
-def rref_bits(rows: Iterable[int]) -> tuple[int, ...]:
-    """Reduce integer-packed GF(2) rows.
+def rref_bits(rows: Iterable[int], basis: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """Reduce integer-packed GF(2) rows, extending ``basis``, a result of
+    this function (none by default).
 
     Returns the fully reduced nonzero rows ordered by pivot position
-    (pivot = lowest set bit, i.e. the smallest coordinate index).
+    (pivot = lowest set bit, i.e. the smallest coordinate index).  The
+    rows kept so far stay fully reduced, so ``reduce_bits`` reduces each
+    new row by one pass over them; one left nonzero clears its pivot
+    from them and joins them.
     """
-    basis: list[tuple[int, int]] = []  # (pivot, row), pivots increasing
+    out = list(basis)
     for r in rows:
-        for p, b in basis:
-            if (r >> p) & 1:
-                r ^= b
+        r = reduce_bits(r, out)
         if r:
-            p = (r & -r).bit_length() - 1
-            basis = [(pi, bi ^ r if (bi >> p) & 1 else bi) for pi, bi in basis]
-            basis.append((p, r))
-            basis.sort()
-    return tuple(b for _, b in basis)
+            low = r & -r
+            out = [b ^ r if b & low else b for b in out]
+            out.append(r)
+    out.sort(key=lambda b: b & -b)
+    return tuple(out)
+
+
+def reduce_bits(r: int, basis: Sequence[int]) -> int:
+    """Remainder of the packed row r against a basis that ``rref_bits``
+    returned: 0 exactly when r lies in its span."""
+    for b in basis:
+        if r & b & -b:
+            r ^= b
+    return r
 
 
 def rank_bits(rows: Iterable[int]) -> int:
@@ -209,11 +220,7 @@ class Subspace:
         if len(v) != self.n:
             raise ValueError("vector width differs from ambient dimension")
         if self.q == 2:
-            r = vec_to_bits(v)
-            for b in self.bits:
-                if (r >> ((b & -b).bit_length() - 1)) & 1:
-                    r ^= b
-            return r == 0
+            return reduce_bits(vec_to_bits(v), self.bits) == 0
         red = list(v)
         for row in self.rows:
             piv = next(j for j, c in enumerate(row) if c)

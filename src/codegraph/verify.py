@@ -22,20 +22,12 @@ from itertools import combinations, count
 from typing import Iterable, Iterator, Optional
 
 from .errors import Falsified, ParameterError
-from .fqlinalg import (
-    Subspace,
-    bits_to_vec,
-    enumerate_subspaces,
-    gaussian_binomial,
-    rank_bits,
-    rref_bits,
-)
+from .fqlinalg import Subspace, enumerate_subspaces, gaussian_binomial, rank_bits, reduce_bits, rref_bits
 from . import hmap
 from .grassmann import KIND_FULL, KIND_NONDEGENERATE, SearchPlan, backtrack, build_graph, greedy_order
 from .autgroup import (
     GraphAutomorphism,
     apply,
-    cols_bits_to_rows,
     graph_automorphisms,
     grassmann_aut_group,
     matrix_inline_text,
@@ -116,6 +108,13 @@ class LemmaContext:
       adjacent iff they share one, so the pairs inside the code stars
       are code edges, each in one star only.  They must add up to
       ``code.edge_count``; then every code edge lies in exactly one star.
+    - Every plane through Q is a code plane, since Q has no zero
+      coordinate, and there are 2^(n-1) - 1 of them.  The plane spanned
+      by Q and the indicator vector of a non-empty I inside {1..n-1}
+      has that indicator as its one vector other than Q that misses
+      coordinate n, so distinct I give distinct planes, one for each
+      plane through Q.  The planes ``plane_of_vecs`` gives for Q and
+      the indicators must be exactly the code planes through Q.
     """
 
     def __init__(self, n: int):
@@ -192,17 +191,18 @@ class LemmaContext:
         if pairs != self.code.edge_count:
             raise Falsified(f"the code stars hold {pairs} pairs, not the {self.code.edge_count} code edges")
 
-        # the A class (the codes through Q) and its indexing by
-        # representative support
+        # the A class (the codes through Q); the A plane of I is spanned by
+        # Q and the indicator vector of I (the fourth proof obligation)
         self.all_A_vids = self.sc_code[self.q_lid]
-        self.A_vids: dict[frozenset[int], int] = {}
-        qbits = ones
-        for vid in self.all_A_vids:
-            r1, r2 = self.code.vertices[vid].bits
-            others = [v for v in (r1, r2, r1 ^ r2) if v != qbits]
-            rep = next(v for v in others if not (v >> (n - 1)) & 1)
-            support = frozenset(i + 1 for i in range(n) if (rep >> i) & 1)
-            self.A_vids[support] = vid
+        self.subsets = [
+            frozenset(c)
+            for size in range(1, n)
+            for c in combinations(range(1, n), size)
+        ]
+        a_planes = {I: pv[ones << n | hmap.p_point(I, n).bits[0]] for I in self.subsets}
+        if sorted(a_planes.values()) != sorted(self.gid[v] for v in self.all_A_vids):
+            raise Falsified("the planes spanned by Q and the indicator vectors are not the A class")
+        self.A_vids = {I: code_of_full[p] for I, p in a_planes.items()}
         self.a_singleton = tuple(self.A_vids[frozenset({i})] for i in range(1, n))
         self.b_pair_vids = {
             (i, j): code_of_full[pv[(ones ^ (1 << (i - 1))) << n | (ones ^ (1 << (j - 1)))]]
@@ -212,11 +212,6 @@ class LemmaContext:
         # expected spans S_I = Q + sum of the chosen axes; the planes
         # inside S_I are the planes spanned by pairs of its vectors, and
         # its line mask holds the lines of its nonzero vectors
-        self.subsets = [
-            frozenset(c)
-            for size in range(1, n)
-            for c in combinations(range(1, n), size)
-        ]
         self.S_expected: dict[frozenset[int], _STarget] = {}
         for I in self.subsets:
             red = rref_bits([ones] + [1 << (i - 1) for i in I])
@@ -495,10 +490,8 @@ def normalize(ctx: LemmaContext, emb: EmbeddingMap) -> tuple[EmbeddingMap, Graph
     if dualled:
         # the linear map L after the orthocomplement is the flagged matrix
         # L^-T, whose rows are the columns of L^-1
-        pre = GraphAutomorphism(ctx.n, tuple(bits_to_vec(c, ctx.n) for c in inv_cols), dual=True)
-    else:
-        pre = _automorphism(ctx.n, cols, False)
-    return EmbeddingMap(ctx.n, f2), pre
+        cols = tuple(sum(((c >> j) & 1) << i for i, c in enumerate(inv_cols)) for j in range(ctx.n))
+    return EmbeddingMap(ctx.n, f2), GraphAutomorphism(ctx.n, cols, dualled)
 
 
 def point_map(ctx: LemmaContext, emb: EmbeddingMap) -> dict[Subspace, Subspace]:
@@ -518,41 +511,13 @@ def point_map(ctx: LemmaContext, emb: EmbeddingMap) -> dict[Subspace, Subspace]:
 # the invariant chain
 
 
-def _member_rows(rows: tuple[int, ...], basis: tuple[int, ...]) -> bool:
-    for r in rows:
-        for b in basis:
-            if (r >> ((b & -b).bit_length() - 1)) & 1:
-                r ^= b
-        if r:
-            return False
-    return True
-
-
-def _extend_span(basis: tuple[int, ...], rows: tuple[int, ...]) -> tuple[int, ...]:
-    """``rref_bits(basis + rows)`` for a ``basis`` that ``rref_bits``
-    returned: each new row is reduced by the basis rows, and one left
-    nonzero clears its pivot from them and joins them."""
-    out = list(basis)
-    for r in rows:
-        for b in out:
-            if (r >> ((b & -b).bit_length() - 1)) & 1:
-                r ^= b
-        if r:
-            low = r & -r
-            out = [b ^ r if b & low else b for b in out]
-            out.append(r)
-    # pivots increasing; a pivot is the lowest set bit
-    out.sort(key=lambda b: b & -b)
-    return tuple(out)
-
-
 def _subset_spans(ctx: LemmaContext, fp: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The reduced span of the images of the planes of I, for each I of
     ``ctx.subsets`` in turn, each grown from an earlier one."""
     spans: list[tuple[int, ...]] = []
     rows = ctx.full_bits
     for prev, vid in ctx.subset_steps:
-        spans.append(_extend_span(spans[prev] if prev >= 0 else (), rows[fp[vid]]))
+        spans.append(rref_bits(rows[fp[vid]], spans[prev] if prev >= 0 else ()))
     return spans
 
 
@@ -586,7 +551,7 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
         target = ctx.S_expected[I]
         if eq4_ok and actual != target.bits:
             eq4_ok, eq4_witness = False, {"I": sorted(I)}
-        if lemma1_ok and not _member_rows(ctx.full_bits[fp[ctx.A_vids[I]]], actual):
+        if lemma1_ok and any(reduce_bits(r, actual) for r in ctx.full_bits[fp[ctx.A_vids[I]]]):
             lemma1_ok, lemma1_witness = False, {"I": sorted(I)}
         if not lemma4_ok:
             continue
@@ -600,7 +565,7 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
                 union |= masks[v]
             bad = next((v for v in members if masks[v] & outside), None) if union & outside else None
         else:
-            bad = next((v for v in members if not _member_rows(ctx.full_bits[fp[v]], actual)), None)
+            bad = next((v for v in members if any(reduce_bits(r, actual) for r in ctx.full_bits[fp[v]])), None)
         if bad is not None:
             lemma4_ok, lemma4_witness = False, {"I": sorted(I), "vertex": bad}
     record("eq4", eq4_ok, eq4_witness)
@@ -671,10 +636,6 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
 # classification
 
 
-def _automorphism(n: int, cols: tuple[int, ...], dual: bool) -> GraphAutomorphism:
-    return GraphAutomorphism(n, cols_bits_to_rows(cols, n), dual=dual)
-
-
 def _normalized(ctx: LemmaContext, images: tuple[int, ...]) -> Optional[_Normalization]:
     """``_normalize_ids``'s result, or None where it raises Falsified."""
     try:
@@ -718,7 +679,7 @@ def classify(ctx: LemmaContext, emb: EmbeddingMap) -> EmbeddingMap:
     """Attach the verdict and witness to an embedding."""
     kind, cols, dual = _classify_ids(ctx, emb.images, _normalized(ctx, emb.images))
     emb.verdict = kind
-    emb.witness = None if cols is None else _automorphism(ctx.n, cols, dual)
+    emb.witness = None if cols is None else GraphAutomorphism(ctx.n, cols, dual)
     return emb
 
 
@@ -824,7 +785,7 @@ def _certificate(
                 cert["witness_failures"] += 1
             if fh is not None:
                 # wcols already reproduced every image, so it is invertible
-                wtext = "-" if wcols is None else matrix_inline_text(cols_bits_to_rows(wcols, ctx.n), dual)
+                wtext = "-" if wcols is None else matrix_inline_text(wcols, dual)
                 fh.write(f"{next(numbers)} {kind} {wtext}\n")
     for report, uses in reports.values():
         _tally_checks(tallies, report, uses)

@@ -233,9 +233,9 @@ def test_criterion_8_property_suites():
 
     def random_aut():
         while True:
-            rows = tuple(tuple(rng.randrange(2) for _ in range(4)) for _ in range(4))
+            cols = tuple(rng.randrange(16) for _ in range(4))
             try:
-                return GraphAutomorphism(4, rows, dual=rng.random() < 0.5)
+                return GraphAutomorphism(4, cols, dual=rng.random() < 0.5)
             except ParameterError:
                 continue
 

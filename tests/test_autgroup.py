@@ -13,12 +13,14 @@ from codegraph.autgroup import (
     grassmann_aut_group,
     identity_automorphism,
     order_gl,
+    matrix_inline_text,
     orthocomplement,
     vertex_permutation,
 )
 from codegraph.fqlinalg import (
     coordinate_hyperplane,
     enumerate_subspaces,
+    nullspace,
     rref,
     standard_basis_vector,
 )
@@ -27,30 +29,39 @@ from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, CodeGraph, build_
 
 def random_automorphism(rng: random.Random, n: int) -> GraphAutomorphism:
     while True:
-        rows = tuple(tuple(rng.randrange(2) for _ in range(n)) for _ in range(n))
+        cols = tuple(rng.randrange(1 << n) for _ in range(n))
         try:
-            return GraphAutomorphism(n, rows)
+            return GraphAutomorphism(n, cols)
         except ParameterError:
             continue
+
+
+def chain_elements(nv: int, transversals: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """Every product u_1 u_2 ... of one element from each transversal of
+    ``graph_automorphisms``, in no fixed order."""
+    perms = [tuple(range(nv))]
+    for level in transversals:
+        perms = [tuple(p[x] for x in u) for p in perms for u in level]
+    return perms
 
 
 def test_apply_identity_and_dual():
     ident = identity_automorphism(4)
     e12 = rref([(1, 0, 0, 0), (0, 1, 0, 0)])
     assert apply(ident, e12) == e12
-    dual = GraphAutomorphism(4, ident.rows, dual=True)
+    dual = GraphAutomorphism(4, ident.cols, dual=True)
     assert apply(dual, e12) == rref([(0, 0, 1, 0), (0, 0, 0, 1)])
 
 
 def test_apply_coordinate_swap():
-    swap = GraphAutomorphism(4, ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    swap = GraphAutomorphism(4, (0b0010, 0b0001, 0b0100, 0b1000))
     q_p1 = rref([(1, 1, 1, 1), (0, 1, 1, 1)])
     q_p2 = rref([(1, 1, 1, 1), (1, 0, 1, 1)])
     assert apply(swap, q_p1) == q_p2
 
 
 def test_dual_requires_doubled_dimension():
-    dual = GraphAutomorphism(4, identity_automorphism(4).rows, dual=True)
+    dual = GraphAutomorphism(4, identity_automorphism(4).cols, dual=True)
     line = rref([(1, 0, 0, 0)])
     with pytest.raises(ParameterError):
         apply(dual, line)
@@ -64,16 +75,36 @@ def test_apply_refuses_other_spaces():
 
 
 def test_singular_matrix_rejected():
-    # singular, the wrong shape either way, a ragged row, an entry of 2
-    for n, rows in (
-        (2, ((1, 1), (1, 1))),
-        (5, identity_automorphism(4).rows),
-        (4, identity_automorphism(5).rows),
-        (2, ((1, 0), (0,))),
-        (2, ((1, 0), (0, 2))),
+    # singular, too few or too many columns, a column wider than n bits,
+    # a negative column
+    for n, cols, message in (
+        (2, (0b11, 0b11), "singular"),
+        (3, (0b001, 0b010, 0b011), "singular"),
+        (5, identity_automorphism(4).cols, "columns"),
+        (4, identity_automorphism(5).cols, "columns"),
+        (2, (0b01, 0b110), "columns"),
+        (2, (0b01, -2), "columns"),
     ):
-        with pytest.raises(ParameterError):
-            GraphAutomorphism(n, rows)
+        with pytest.raises(ParameterError, match=message):
+            GraphAutomorphism(n, cols)
+
+
+def test_rows_and_text_read_bit_i_of_column_j_as_entry_i_j():
+    # a non-symmetric matrix: rows (1,1,0), (0,1,0), (0,1,1)
+    a = GraphAutomorphism(3, (0b001, 0b111, 0b100))
+    want = ((1, 1, 0), (0, 1, 0), (0, 1, 1))
+    assert a.rows == want
+    assert a.rows != tuple(zip(*want))
+    assert matrix_inline_text(a.cols, False) == "110,010,011 dual=0"
+    assert matrix_inline_text(a.cols, True) == "110,010,011 dual=1"
+    # the transpose is another matrix, with the transposed text
+    t = GraphAutomorphism(3, (0b011, 0b010, 0b110))
+    assert t.rows == tuple(zip(*want))
+    assert matrix_inline_text(t.cols, False) == "100,111,001 dual=0"
+    # and the action reads the same convention: e_2 goes to column 2
+    assert apply(a, rref([(0, 1, 0)])) == rref([(1, 1, 1)])
+    with pytest.raises(AttributeError):
+        a.rows = want
 
 
 def test_orthocomplement_examples():
@@ -132,14 +163,15 @@ def test_direct_search_matches_networkx(n):
     from networkx.algorithms.isomorphism import GraphMatcher
 
     g = build_graph(n, 2, 2, KIND_NONDEGENERATE)
-    count, perms = graph_automorphisms(g, collect=True)
+    count, transversals = graph_automorphisms(g)
+    perms = chain_elements(g.nv, transversals)
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.nv))
     nxg.add_edges_from(iter_edges(g))
     expected = {
         tuple(m[v] for v in range(g.nv)) for m in GraphMatcher(nxg, nxg).isomorphisms_iter()
     }
-    assert count == len(perms) == len(expected)
+    assert count == len(perms) == len(set(perms)) == len(expected)
     assert set(perms) == expected
 
 
@@ -147,8 +179,9 @@ def test_generated_equals_direct_on_full_graph(ctx4):
     # the generated permutations are exactly the automorphisms the blind
     # search finds, so each one preserves adjacency and nothing is missing
     g = build_graph(4, 2, 2, KIND_FULL)
-    direct_count, perms = graph_automorphisms(g, collect=True)
-    assert direct_count == 40320
+    direct_count, transversals = graph_automorphisms(g)
+    perms = chain_elements(g.nv, transversals)
+    assert direct_count == len(perms) == len(set(perms)) == 40320
     direct = {bytes(p) for p in perms}
     generated = set()
     orth = ctx4.orth_perm
@@ -226,17 +259,25 @@ def test_chain_builds_each_depth_once(plan_builds):
 
 def test_stabilizer_chain_matches_brute_force():
     for adj in chain_test_graphs():
-        count, perms = graph_automorphisms(graph_of(adj), collect=True)
+        count, transversals = graph_automorphisms(graph_of(adj))
+        perms = chain_elements(len(adj), transversals)
         assert count == len(perms) == len(set(perms)), adj
         assert set(perms) == brute_force_automorphisms(adj), adj
 
 
 def test_alternative_symmetric_form_generates_the_same_group(ctx4):
-    # swapping the pairing does not change the generated group
+    # swapping the pairing does not change the generated group; the
+    # complement under the symmetric form F is the kernel of the rows F r
     g = build_graph(4, 2, 2, KIND_FULL)
     form = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+
+    def complement_under_form(x):
+        rows = [tuple(sum(f * c for f, c in zip(row, r)) % 2 for row in form) for r in x.rows]
+        return nullspace(rows, 4, 2)
+
     orth_std = ctx4.orth_perm
-    orth_alt = tuple(g.index[orthocomplement(x, form)] for x in g.vertices)
+    orth_alt = tuple(g.index[complement_under_form(x)] for x in g.vertices)
+    assert orth_alt != orth_std
     std_duals = set()
     alt_duals = set()
     for cols in gl2_cols_stream(4):

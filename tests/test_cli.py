@@ -111,7 +111,7 @@ def test_aut_direct_outside_its_scope_exit_2(capsys, monkeypatch, n, k):
     # (3,1) and (4,1) lie outside 1 < k < n-1, where the generated group
     # is not Aut; full G(7,2) has 2667 vertices, past the vertex guard
     # on --direct
-    def no_search(g, collect=False):
+    def no_search(g):
         raise AssertionError("the direct search must not start")
 
     monkeypatch.setattr(cli.autgroup, "graph_automorphisms", no_search)

@@ -16,7 +16,10 @@ from codegraph.fqlinalg import (
     nullspace,
     parse_subspace,
     parse_subspace_blocks,
+    rank_bits,
+    reduce_bits,
     rref,
+    rref_bits,
     standard_basis_vector,
     subspace_sum,
     zero_subspace,
@@ -202,6 +205,48 @@ def test_membership_matches_rank_oracle():
         v = tuple(rng.randrange(2) for _ in range(n))
         joined = rref(list(x.rows) + [v], n, 2)
         assert x.contains_vector(v) == (joined.k == x.k)
+
+
+def random_rows(rng: random.Random, n: int, basis: tuple[int, ...]) -> list[int]:
+    """Up to six packed rows of width n: random ones, zeros, and sums of
+    rows of ``basis`` (already in its span)."""
+    rows = []
+    for _ in range(rng.randrange(7)):
+        pick = rng.random()
+        if pick < 0.2:
+            rows.append(0)
+        elif pick < 0.5 and basis:
+            acc = 0
+            for b in rng.sample(basis, rng.randint(1, len(basis))):
+                acc ^= b
+            rows.append(acc)
+        else:
+            rows.append(rng.randrange(1 << n))
+    return rows
+
+
+def test_rref_bits_extends_a_basis_as_one_reduction():
+    rng = random.Random(21)
+    for n in range(1, 10):
+        for _ in range(150):
+            a = random_rows(rng, n, ())
+            basis = rref_bits(a)
+            b = random_rows(rng, n, basis)
+            assert rref_bits(b, basis) == rref_bits(a + b), (n, a, b)
+            assert rref_bits(b, ()) == rref_bits(b)
+            assert rref_bits((), basis) == basis
+
+
+def test_reduce_bits_is_zero_iff_the_rank_stays():
+    rng = random.Random(22)
+    for n in range(1, 10):
+        for _ in range(150):
+            basis = rref_bits(random_rows(rng, n, ()))
+            for r in random_rows(rng, n, basis) + [rng.randrange(1 << n)]:
+                rem = reduce_bits(r, basis)
+                assert (rem == 0) == (rank_bits(basis + (r,)) == len(basis)), (n, basis, r)
+                # the remainder differs from r by a sum of basis rows
+                assert rank_bits(basis + (r ^ rem,)) == len(basis)
 
 
 def test_nullspace_is_orthogonal_complement_dimension():

@@ -14,7 +14,6 @@ from codegraph.errors import Falsified, ParameterError
 from codegraph.autgroup import (
     GraphAutomorphism,
     apply,
-    cols_bits_to_rows,
     gl2_cols_stream,
     identity_automorphism,
     vertex_permutation,
@@ -35,16 +34,21 @@ from codegraph.verify import (
     normalize,
     point_map,
     recheck_witness,
-    _member_rows,
     _normalize_ids,
     _order_for,
 )
 
 
 def swap_automorphism(n: int, i: int, j: int) -> GraphAutomorphism:
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    rows[i - 1], rows[j - 1] = rows[j - 1], rows[i - 1]
-    return GraphAutomorphism(n, tuple(tuple(r) for r in rows))
+    cols = [1 << c for c in range(n)]
+    cols[i - 1], cols[j - 1] = cols[j - 1], cols[i - 1]
+    return GraphAutomorphism(n, tuple(cols))
+
+
+def in_span(rows, basis) -> bool:
+    """Whether every packed row lies in the span of the independent rows
+    ``basis``, decided by rank rather than by reduction against them."""
+    return rank_bits(tuple(basis) + tuple(rows)) == len(basis)
 
 
 def restriction_images(ctx, a: GraphAutomorphism) -> tuple[int, ...]:
@@ -127,7 +131,7 @@ def test_tables_read_off_the_line_tables_match_the_reference(n):
         red, mask, members = expected[I]
         assert (target.bits, target.code_members) == (red, members), sorted(I)
         # the line mask holds the lines inside S_I, one scan per line
-        lines = sum(1 << lid for lid, b in enumerate(ctx.line_bits) if _member_rows((b,), red))
+        lines = sum(1 << lid for lid, b in enumerate(ctx.line_bits) if in_span((b,), red))
         assert target.line_mask == lines, sorted(I)
         # and a plane lies in S_I iff none of its lines is outside it
         outside = ctx.all_lines_mask ^ target.line_mask
@@ -175,6 +179,34 @@ def test_context_refuses_a_point_map_that_sends_a_plane_into_no_plane(monkeypatc
     monkeypatch.setattr(hmap, "projective_morphism", lambda p: p if p == moved else real(p))
     with pytest.raises(Falsified, match="into no plane"):
         verify.LemmaContext(n)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("wrong", ["Q", "the indicator of {2}"])
+def test_context_refuses_an_indicator_plane_off_the_a_class(monkeypatch, n, wrong):
+    # fault: the indicator vector of {1} comes out as Q itself, so its
+    # lookup lands on no plane, or as the indicator of {2}, so the A plane
+    # of {1} is never reached; the context is built directly, not through
+    # build_context, so nothing enters the cache
+    real = hmap.p_point
+    bad = rref([(1,) * n]) if wrong == "Q" else real({2}, n)
+    monkeypatch.setattr(hmap, "p_point", lambda s, m: bad if set(s) == {1} else real(s, m))
+    cached = dict(verify._CTX_CACHE)
+    with pytest.raises(Falsified, match="not the A class"):
+        verify.LemmaContext(n)
+    assert verify._CTX_CACHE == cached
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_a_planes_are_looked_up_by_indicator(n):
+    # the A plane of I against the Subspace span of Q and P_I
+    ctx = build_context(n)
+    frame = special_frame(n)
+    index = ctx.full.index
+    for I in ctx.subsets:
+        want = index[rref(frame.Q.rows + hmap.p_point(I, n).rows)]
+        assert ctx.gid[ctx.A_vids[I]] == want, sorted(I)
+    assert sorted(ctx.A_vids.values()) == list(ctx.all_A_vids)
 
 
 def test_context_refuses_an_s_i_of_the_wrong_size(monkeypatch):
@@ -402,7 +434,7 @@ def test_normalize_linear_restriction(ctx4):
 
 
 def test_normalize_dual_restriction(ctx4):
-    a = GraphAutomorphism(4, identity_automorphism(4).rows, dual=True)
+    a = GraphAutomorphism(4, identity_automorphism(4).cols, dual=True)
     emb = EmbeddingMap(4, restriction_images(ctx4, a))
     normed, pre = normalize(ctx4, emb)
     assert normed.images == ctx4.gid
@@ -545,7 +577,7 @@ def test_plane_images_match_the_subspace_action(n):
         cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
         while rank_bits(cols) != n:
             cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
-        want = vertex_permutation(GraphAutomorphism(n, cols_bits_to_rows(cols, n)), ctx.full)
+        want = vertex_permutation(GraphAutomorphism(n, cols), ctx.full)
         assert ctx.map_images(cols, every) == want
 
 
@@ -631,7 +663,7 @@ def reference_lemma_chain(ctx, fp):
             if eq4_ok:
                 eq4_ok, eq4_witness = False, {"I": sorted(I)}
         a_vid = ctx.A_vids[I]
-        if not _member_rows(ctx.full_bits[fp[a_vid]], actual):
+        if not in_span(ctx.full_bits[fp[a_vid]], actual):
             if lemma1_ok:
                 lemma1_ok, lemma1_witness = False, {"I": sorted(I)}
         # a plane lies in S_I iff none of its lines is outside S_I
@@ -641,7 +673,7 @@ def reference_lemma_chain(ctx, fp):
             inside = (
                 not vline_mask[img] & outside
                 if outside is not None
-                else _member_rows(ctx.full_bits[img], actual)
+                else in_span(ctx.full_bits[img], actual)
             )
             if not inside:
                 if lemma4_ok:
@@ -901,7 +933,7 @@ def test_constructive_route_recovers_sampled_group_elements(ctx4):
     rng = random.Random(7)
     for cols in rng.sample(list(gl2_cols_stream(4)), 100):
         for dual in (False, True):
-            a = GraphAutomorphism(4, cols_bits_to_rows(cols, 4), dual=dual)
+            a = GraphAutomorphism(4, cols, dual=dual)
             emb = classify(ctx4, EmbeddingMap(4, restriction_images(ctx4, a)))
             assert emb.verdict == "extendable" and emb.witness == a
             comp = classify(ctx4, EmbeddingMap(4, composite_images(ctx4, a)))
