@@ -95,10 +95,6 @@ def order_gl(n: int, q: int) -> int:
     return order
 
 
-def order_pgl(n: int, q: int) -> int:
-    return order_gl(n, q) // (q - 1)
-
-
 def gl2_cols_stream(n: int) -> Iterator[tuple[int, ...]]:
     """All invertible matrices over F_2 as column-bitmask tuples, in a
     fixed depth-first order (columns chosen in increasing packed value)."""
@@ -139,7 +135,7 @@ def grassmann_aut_group(n: int, k: int, q: int) -> GroupHandle:
         raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     with_dual = n == 2 * k
     kind = "PGL with orthocomplement" if with_dual else "PGL"
-    return GroupHandle(f"{kind}({n},{q})", order_pgl(n, q) * (2 if with_dual else 1))
+    return GroupHandle(f"{kind}({n},{q})", order_gl(n, q) // (q - 1) * (2 if with_dual else 1))
 
 
 def code_graph_aut_group(n: int, k: int, q: int) -> GroupHandle:
@@ -208,7 +204,7 @@ def graph_automorphisms(g: CodeGraph) -> tuple[int, list[list[tuple[int, ...]]]]
         by_degree[row.bit_count()] |= 1 << c
     domains = [by_degree[row.bit_count()] for row in adj]
     order = greedy_order(adj)
-    # every orbit search shares this plan, so each depth's lists are built once
+    # every orbit search reads this one plan's lists
     plan = SearchPlan(adj, order, induced=True)
     identity = tuple(range(nv))
     count = 1

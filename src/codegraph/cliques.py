@@ -16,7 +16,7 @@ from typing import AbstractSet, Iterable, Optional
 from .errors import ParameterError
 from . import fqlinalg
 from .fqlinalg import Subspace, enumerate_subspaces, intersect, rref, subspace_sum
-from .grassmann import KIND_NONDEGENERATE, CodeGraph, build_graph, is_nondegenerate
+from .grassmann import KIND_NONDEGENERATE, CodeGraph, build_graph, is_nondegenerate, mask_ids
 
 
 def star(x: Subspace, restrict: bool = False) -> set[Subspace]:
@@ -123,15 +123,6 @@ def maximal_clique_masks(adj: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _mask_ids(mask: int) -> list[int]:
-    ids = []
-    while mask:
-        b = mask & -mask
-        ids.append(b.bit_length() - 1)
-        mask ^= b
-    return ids
-
-
 def classify_clique(g: CodeGraph, vids: frozenset[int]) -> CliqueClass:
     """Taxonomy verdict for a maximal clique of g.
 
@@ -156,7 +147,7 @@ def classify_clique(g: CodeGraph, vids: frozenset[int]) -> CliqueClass:
     """
     members = [g.vertices[v] for v in sorted(vids)]
     k = g.k
-    outside = [g.vertices[v] for v in _mask_ids(_common_neighbours(g, vids))]
+    outside = [g.vertices[v] for v in mask_ids(_common_neighbours(g, vids))]
 
     center = members[0]
     for m in members[1:]:
@@ -220,8 +211,8 @@ def enumerate_maximal_cliques(g: CodeGraph) -> list[CliqueClass]:
     if g.nv > 2000:
         raise ParameterError(f"clique enumeration needs at most 2000 vertices, got {g.nv}")
     masks = maximal_clique_masks(g.adj)
-    masks.sort(key=lambda m: tuple(_mask_ids(m)))
-    return [classify_clique(g, frozenset(_mask_ids(m))) for m in masks]
+    masks.sort(key=lambda m: tuple(mask_ids(m)))
+    return [classify_clique(g, frozenset(mask_ids(m))) for m in masks]
 
 
 def clique_report_rows(cliques: list[CliqueClass]) -> list[str]:

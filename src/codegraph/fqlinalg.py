@@ -35,20 +35,10 @@ def is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Prime modulus used for all coordinate arithmetic."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ParameterError(f"field order must be prime, got {self.q}")
-
-
 def check_space(n: int, q: int) -> None:
     """Validate ambient parameters against the desk-scale bounds."""
-    FieldSpec(q)
+    if not is_prime(q):
+        raise ParameterError(f"field order must be prime, got {q}")
     if n < 1 or q**n > MAX_AMBIENT:
         raise ParameterError(f"ambient space of dimension {n} over F_{q} is out of the supported range")
 

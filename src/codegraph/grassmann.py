@@ -87,15 +87,6 @@ class CodeGraph:
     def degree(self, i: int) -> int:
         return self.adj[i].bit_count()
 
-    def neighbors(self, i: int) -> list[int]:
-        m = self.adj[i]
-        out = []
-        while m:
-            b = m & -m
-            out.append(b.bit_length() - 1)
-            m ^= b
-        return out
-
 
 def build_graph(n: int, k: int, q: int, kind: str = KIND_FULL) -> CodeGraph:
     """Build the Grassmann graph or its non-degenerate induced subgraph.
@@ -191,6 +182,16 @@ def _hyperplane_keys(x: Subspace, coeffs: tuple[Subspace, ...]) -> list[tuple]:
     ]
 
 
+def mask_ids(mask: int) -> list[int]:
+    """The ids of the set bits of ``mask``, in increasing order."""
+    ids = []
+    while mask:
+        b = mask & -mask
+        ids.append(b.bit_length() - 1)
+        mask ^= b
+    return ids
+
+
 def greedy_order(adj: tuple[int, ...]) -> list[int]:
     """Vertices ordered so each has the most already-placed neighbours;
     ties go to the smaller id.
@@ -235,36 +236,33 @@ class SearchPlan:
     ``later[d]`` / ``apart[d]`` hold the vertices after ``order[d]`` in the
     order that are its neighbours and (only when induced) its
     non-neighbours, each as ``p - d - 1`` for its position p in the
-    order: its index in a search's snapshot at depth d + 1.  A depth's
-    lists are built when a search first reaches it, so a search that
-    dies early never pays for the deeper levels, and every later search
-    with the same plan reuses them.  The plan belongs to its caller: its
-    lists live exactly as long as the caller keeps it.  Its fields cannot
-    be reassigned, so lists built for one order or mode never serve
-    another.
+    order: its index in a search's snapshot at depth d + 1.  Every depth
+    is built when the plan is made, and every search with the plan reads
+    the same lists.  The plan belongs to its caller: its lists live
+    exactly as long as the caller keeps it.  Its fields cannot be
+    reassigned, so lists built for one order or mode never serve another.
     """
 
     src_adj: tuple[int, ...]
     order: tuple[int, ...]
     induced: bool = False
-    later: list = field(init=False, repr=False)
-    apart: list = field(init=False, repr=False)
-    # 0 .. nv-1 once, so every list shares these int objects
-    offsets: tuple[int, ...] = field(init=False, repr=False)
+    later: tuple = field(init=False, repr=False)
+    apart: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # a copy, so the caller's list cannot change under built lists
-        object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "later", [None] * len(self.order))
-        object.__setattr__(self, "apart", [None] * len(self.order))
-        object.__setattr__(self, "offsets", tuple(range(len(self.order))))
-
-    def build(self, d: int) -> None:
-        """Fill ``later[d]`` and ``apart[d]``."""
-        row = self.src_adj[self.order[d]]
-        rest = list(zip(self.offsets, self.order[d + 1 :]))
-        self.later[d] = [j for j, w in rest if (row >> w) & 1]
-        self.apart[d] = [j for j, w in rest if not (row >> w) & 1] if self.induced else []
+        # a copy, so the caller's list cannot change under the built lists
+        order = tuple(self.order)
+        # 0 .. nv-1 once, so every list shares these int objects
+        offsets = tuple(range(len(order)))
+        later, apart = [], []
+        for d, v in enumerate(order):
+            row = self.src_adj[v]
+            rest = list(zip(offsets, order[d + 1 :]))
+            later.append(tuple(j for j, w in rest if (row >> w) & 1))
+            apart.append(tuple(j for j, w in rest if not (row >> w) & 1) if self.induced else ())
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "later", tuple(later))
+        object.__setattr__(self, "apart", tuple(apart))
 
 
 def backtrack(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) -> Iterator[tuple[int, ...]]:
@@ -311,8 +309,6 @@ def backtrack(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) ->
     rem = [0] * last
     doms[0] = [domains[v] for v in order]
     rem[0] = doms[0][0]
-    if later[0] is None:
-        plan.build(0)
     d = 0
     while d >= 0:
         m = rem[d]
@@ -346,8 +342,6 @@ def backtrack(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) ->
                 mapping[order[d]] = c
                 d += 1
                 if d < last:
-                    if later[d] is None:
-                        plan.build(d)
                     doms[d] = child
                     used[d] = u
                     rem[d] = child[0] & free
@@ -380,12 +374,7 @@ def connected_components(g: CodeGraph) -> list[set[int]]:
                 m ^= b
             frontier = nxt & ~comp
         seen |= comp
-        ids = set()
-        while comp:
-            b = comp & -comp
-            ids.add(b.bit_length() - 1)
-            comp ^= b
-        comps.append(ids)
+        comps.append(set(mask_ids(comp)))
     return comps
 
 

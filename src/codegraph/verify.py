@@ -321,7 +321,7 @@ def group_fields(ctx: LemmaContext) -> dict[str, int | bool]:
     an automorphism sends gid to h_gid.
     """
     adj = ctx.full.adj
-    # one plan for the three searches below, so each depth's lists are built once
+    # the three searches below read this one plan's lists
     plan = SearchPlan(adj, greedy_order(adj), induced=True)
 
     def maps(src: tuple[int, ...], dst: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -84,37 +84,28 @@ def bound_stream(monkeypatch):
 
 
 class PlanBuilds:
-    """Every (plan, depth) whose search lists got built, and the number of
-    searches started."""
+    """Every plan made, and the number of searches started."""
 
     def __init__(self) -> None:
-        self.builds: list = []
+        self.plans: list = []
         self.searches = 0
-
-    def plans(self) -> set[int]:
-        """The ids of the plans that built lists, after checking that no
-        plan built one depth twice."""
-        keys = [(id(plan), d) for plan, d in self.builds]
-        assert len(keys) == len(set(keys))
-        return {id(plan) for plan, _ in self.builds}
 
 
 @pytest.fixture
 def plan_builds(monkeypatch):
-    """Record list builds and count the searches started through
-    ``autgroup`` and ``verify``; the records keep each plan alive, so
-    plan ids stay distinct."""
+    """Record the plans made and count the searches started through
+    ``autgroup`` and ``verify``."""
     from codegraph import autgroup, verify
     from codegraph.grassmann import SearchPlan
 
     record = PlanBuilds()
-    real_build = SearchPlan.build
+    real_post_init = SearchPlan.__post_init__
 
-    def build(plan, d):
-        record.builds.append((plan, d))
-        real_build(plan, d)
+    def post_init(plan):
+        real_post_init(plan)
+        record.plans.append(plan)
 
-    monkeypatch.setattr(SearchPlan, "build", build)
+    monkeypatch.setattr(SearchPlan, "__post_init__", post_init)
     for module in (autgroup, verify):
 
         def search(*args, real_search=module.backtrack):
@@ -123,3 +114,12 @@ def plan_builds(monkeypatch):
 
         monkeypatch.setattr(module, "backtrack", search)
     return record
+
+
+@pytest.fixture(scope="session")
+def n4_stream_sample(ctx4):
+    """Every 40th image tuple of the exhaustive n=4 embedding stream, in
+    search order, enumerated once per session."""
+    from codegraph import verify
+
+    return tuple(itertools.islice(verify._embeddings(ctx4, ctx4.search_order), 0, None, 40))

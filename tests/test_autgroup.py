@@ -24,7 +24,7 @@ from codegraph.fqlinalg import (
     rref,
     standard_basis_vector,
 )
-from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, CodeGraph, build_graph, is_adjacent, iter_edges
+from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, CodeGraph, build_graph, is_adjacent, iter_edges, mask_ids
 
 
 def random_automorphism(rng: random.Random, n: int) -> GraphAutomorphism:
@@ -249,11 +249,11 @@ def chain_test_graphs() -> list[tuple[int, ...]]:
     return graphs
 
 
-def test_chain_builds_each_depth_once(plan_builds):
+def test_chain_searches_share_one_plan(plan_builds):
     # every orbit search of the chain reads one plan's lists
     g = build_graph(5, 2, 2)
     assert graph_automorphisms(g)[0] == 9999360
-    assert len(plan_builds.plans()) == 1
+    assert len(plan_builds.plans) == 1
     assert plan_builds.searches > 1
 
 
@@ -290,7 +290,7 @@ def test_alternative_symmetric_form_generates_the_same_group(ctx4):
 def test_adjacency_preserved_sampled_n5():
     g = build_graph(5, 2, 2, KIND_FULL)
     rng = random.Random(11)
-    edges = [(i, j) for i in range(g.nv) for j in g.neighbors(i) if i < j]
+    edges = [(i, j) for i in range(g.nv) for j in mask_ids(g.adj[i]) if i < j]
     for _ in range(25):
         a = random_automorphism(rng, 5)
         p = vertex_permutation(a, g)

@@ -5,8 +5,8 @@ import pytest
 
 from codegraph.errors import ParameterError
 from codegraph.fqlinalg import (
-    FieldSpec,
     Subspace,
+    check_space,
     coordinate_hyperplane,
     enumerate_subspaces,
     format_subspace_blocks,
@@ -48,12 +48,12 @@ def random_subspace(rng: random.Random, n: int, k: int, q: int = 2) -> Subspace:
 
 
 def test_field_spec_rejects_composites():
-    FieldSpec(2)
-    FieldSpec(13)
+    check_space(1, 2)
+    check_space(1, 13)
     with pytest.raises(ParameterError):
-        FieldSpec(4)
+        check_space(1, 4)
     with pytest.raises(ParameterError):
-        FieldSpec(1)
+        check_space(1, 1)
 
 
 def test_rref_hand_example():

@@ -25,6 +25,7 @@ from codegraph.grassmann import (
     is_adjacent,
     is_nondegenerate,
     iter_edges,
+    mask_ids,
     vertex_sidecar_text,
 )
 
@@ -108,7 +109,7 @@ def test_adjacency_symmetric_irreflexive():
         g = build_graph(5, 2, 2, kind)
         for i in range(g.nv):
             assert not g.is_edge(i, i)
-            for j in g.neighbors(i):
+            for j in mask_ids(g.adj[i]):
                 assert g.is_edge(j, i)
 
 
@@ -363,7 +364,7 @@ def test_backtrack_with_an_empty_last_domain_yields_nothing(ns):
 
 
 def test_a_plan_reused_across_searches_yields_what_fresh_plans_yield():
-    # the second and later searches read the lists the first one built
+    # every search reads the lists the plan built when it was made
     rng = random.Random(3)
     for _ in range(20):
         src, tgt, order, domains = random_search(rng, 6, 8)
@@ -383,21 +384,20 @@ def test_induced_and_plain_plans_never_share_lists():
         src, tgt, order, domains = random_search(rng, 5, 7)
         plain, induced = SearchPlan(src, order), SearchPlan(src, order, induced=True)
         found = {}
-        # alternate the two plans, so a list one built would be read by the other
+        # alternate the two plans, so a list they shared would show
         for plan in (plain, induced, plain, induced):
             maps = list(backtrack(plan, tgt, domains))
             assert maps == list(reference_backtrack(src, tgt, order, domains, plan.induced))
             found[plan.induced] = maps
         differ += found[False] != found[True]
-        # a depth no search reached keeps None; the lists hold offsets
-        # past depth d in the order
+        # every depth holds its lists, as offsets past depth d in the order
         for plan in (plain, induced):
-            for d, near in enumerate(plan.later):
-                if near is not None:
-                    rest = order[d + 1 :]
-                    assert [rest[j] for j in near] == [w for w in rest if (src[order[d]] >> w) & 1]
-                    far = [w for w in rest if not (src[order[d]] >> w) & 1]
-                    assert [rest[j] for j in plan.apart[d]] == (far if plan.induced else [])
+            assert len(plan.later) == len(plan.apart) == len(order)
+            for d in range(len(order)):
+                rest = order[d + 1 :]
+                assert [rest[j] for j in plan.later[d]] == [w for w in rest if (src[order[d]] >> w) & 1]
+                far = [w for w in rest if not (src[order[d]] >> w) & 1]
+                assert [rest[j] for j in plan.apart[d]] == (far if plan.induced else [])
         assert not {id(x) for x in plain.later + plain.apart if x} & {
             id(x) for x in induced.later + induced.apart if x
         }
@@ -411,6 +411,16 @@ def test_plan_fields_cannot_be_reassigned():
         with pytest.raises(AttributeError):
             setattr(plan, name, value)
     assert plan.order == (1, 0) and plan.induced is False
+
+
+def test_mask_ids_lists_the_set_bits_in_increasing_order():
+    def want(m):
+        return [i for i in range(m.bit_length()) if m >> i & 1]
+
+    rng = random.Random(11)
+    masks = [0] + [1 << i for i in range(700)] + [rng.getrandbits(rng.randint(1, 700)) for _ in range(200)]
+    for m in masks:
+        assert mask_ids(m) == want(m)
 
 
 def test_greedy_order_places_connected_vertices_first():

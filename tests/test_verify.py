@@ -19,7 +19,7 @@ from codegraph.autgroup import (
     vertex_permutation,
 )
 from codegraph.fqlinalg import from_bits, rank_bits, rref, rref_bits, vec_to_bits
-from codegraph.grassmann import SearchPlan, backtrack
+from codegraph.grassmann import SearchPlan, backtrack, mask_ids
 from codegraph.hmap import abc_partition, h_map, line_support, p_copoint, special_frame
 from codegraph.verify import (
     EmbeddingMap,
@@ -517,10 +517,9 @@ def test_solve_cols_rejects_sources_that_do_not_span():
         solve_cols(basis[:3], basis[:3], 4)  # one vector short
 
 
-def test_normalization_matches_the_elimination_route_on_the_n4_stream(ctx4):
-    stream = list(itertools.islice(verify._embeddings(ctx4, ctx4.search_order), 0, None, 40))
-    assert len(stream) == 2016
-    for images in stream:
+def test_normalization_matches_the_elimination_route_on_the_n4_stream(ctx4, n4_stream_sample):
+    assert len(n4_stream_sample) == 2016
+    for images in n4_stream_sample:
         assert _normalize_ids(ctx4, images) == reference_normalize(ctx4, images)
 
 
@@ -772,7 +771,7 @@ def seeded_chain_inputs(ctx, rng, size):
         if k % 3 == 1:
             images[v] = images[rng.choice([w for w in range(ctx.nc) if w != v])]
         elif k % 3 == 2:
-            u = rng.choice(ctx.code.neighbors(v))
+            u = rng.choice(mask_ids(ctx.code.adj[v]))
             images[v] = rng.choice([c for c in range(ctx.full.nv) if not ctx.full.is_edge(c, images[u])])
         normalized = normalized_or_error(_normalize_ids, ctx, tuple(images))
         if isinstance(normalized, tuple):
@@ -794,12 +793,11 @@ def test_grown_spans_match_the_per_subset_reduction_on_seeded_maps(n):
     assert {"eq4", "lemma1", "lemma3", "lemma4"} | ({"lemma5"} if n > 4 else set()) <= failed
 
 
-def test_grown_spans_match_the_per_subset_reduction_on_the_n4_stream(ctx4):
-    stream = list(itertools.islice(verify._embeddings(ctx4, ctx4.search_order), 0, None, 40))
-    normalized = [_normalize_ids(ctx4, images)[0] for images in stream]
+def test_grown_spans_match_the_per_subset_reduction_on_the_n4_stream(ctx4, n4_stream_sample):
+    normalized = [_normalize_ids(ctx4, images)[0] for images in n4_stream_sample]
     assert set(normalized) == {ctx4.gid, ctx4.h_gid}
     # the raw images move the S_I, so spans that differ from S_I are reached
-    failed = assert_chain_matches_the_reference(ctx4, stream + normalized)
+    failed = assert_chain_matches_the_reference(ctx4, [*n4_stream_sample, *normalized])
     assert {"eq4", "lemma4"} <= failed
 
 
@@ -909,12 +907,12 @@ def test_group_fields_match_explicit_sets(ctx4, group_images):
     assert fields["group_order"] == 40320
 
 
-def test_group_fields_build_each_depth_once_per_plan(plan_builds):
+def test_group_fields_searches_share_two_plans(plan_builds):
     # one plan for the chain's orbit searches, one for the three searches
     # with gid and h_gid pinned
     ctx = build_context(5)
     assert verify.group_fields(ctx)["group_order"] == 9999360
-    assert len(plan_builds.plans()) == 2
+    assert len(plan_builds.plans) == 2
     assert plan_builds.searches > 4
 
 
