@@ -100,16 +100,19 @@ def maximal_clique_masks(adj: tuple[int, ...]) -> list[int]:
         if not p and not x:
             out.append(r)
             return
-        # pivot = vertex of p | x with most neighbours inside p
-        best, pivot = -1, -1
-        m = p | x
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            c = (p & adj[u]).bit_count()
-            if c > best:
-                best, pivot = c, u
-            m ^= b
+        # pivot: most neighbours in p, x scanned first.  One of x adjacent to all of p
+        # ends the call (any clique below extends by it); one branch, the fewest, ends the scan
+        best, pivot, full = -1, -1, p.bit_count() - 1
+        for m in (x, p):
+            while m and best < full:
+                b = m & -m
+                u = b.bit_length() - 1
+                c = (p & adj[u]).bit_count()
+                if c > best:
+                    if c > full:
+                        return
+                    best, pivot = c, u
+                m ^= b
         ext = p & ~adj[pivot]
         while ext:
             b = ext & -ext

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import Falsified, ParameterError
 from .fqlinalg import Subspace, enumerate_subspaces, gaussian_binomial, rank_bits, reduce_bits, rref_bits
 from . import hmap
-from .grassmann import KIND_FULL, KIND_NONDEGENERATE, SearchPlan, backtrack, build_graph, greedy_order
+from .grassmann import KIND_FULL, KIND_NONDEGENERATE, SearchPlan, backtrack, build_graph, greedy_order, mask_ids
 from .autgroup import (
     GraphAutomorphism,
     apply,
@@ -115,6 +115,8 @@ class LemmaContext:
       coordinate n, so distinct I give distinct planes, one for each
       plane through Q.  The planes ``plane_of_vecs`` gives for Q and
       the indicators must be exactly the code planes through Q.
+    - At n = 4 the orthocomplement ``orth_perm`` is an automorphism: an
+      involution that sends every adjacency row onto its image's row.
     """
 
     def __init__(self, n: int):
@@ -248,14 +250,14 @@ class LemmaContext:
             h_gid[vid] = pid
         self.h_gid: tuple[int, ...] = tuple(h_gid)
 
-        # orthocomplement as a vertex permutation (only when n = 2k)
+        # orthocomplement as a vertex permutation (only when n = 2k; the last obligation above)
+        self.orth_perm: Optional[tuple[int, ...]] = None
         if n == 4:
-            index = self.full.index
-            self.orth_perm: Optional[tuple[int, ...]] = tuple(
-                index[orthocomplement(x)] for x in self.full.vertices
-            )
-        else:
-            self.orth_perm = None
+            adj = self.full.adj
+            orth = self.orth_perm = tuple(self.full.index[orthocomplement(x)] for x in self.full.vertices)
+            for u, row in enumerate(adj):
+                if orth[orth[u]] != u or sum(1 << orth[w] for w in mask_ids(row)) != adj[orth[u]]:
+                    raise Falsified(f"the orthocomplement is no automorphism at {self.full.vertices[u].inline_text()}")
 
     @cached_property
     def search_order(self) -> list[int]:
@@ -392,21 +394,25 @@ def is_valid_embedding(ctx: LemmaContext, images: tuple[int, ...]) -> bool:
     """Recheck injectivity and that every code edge lands on a full edge.
 
     Every code edge lies in exactly one of ``ctx.code_stars``, and two
-    distinct planes are adjacent iff their line masks meet.  A star whose
-    images share a line keeps its edges; one whose images share none (a
-    top, say) has its pairs tested one by one.  Neither the search's
-    domains nor the full graph's rows are read, so the recheck is
-    independent of the search.
+    distinct planes are adjacent iff their line masks meet.  A star keeps
+    its edges when its images share a line or, at n = 4, when their
+    orthocomplements do, since ``orth_perm`` is an automorphism.  Any
+    other star (a top, say) has its pairs tested one by one.  Neither the
+    search's domains nor the full graph's rows are read, so the recheck
+    is independent of the search.
     """
     if len(set(images)) != len(images):
         return False
-    masks = [ctx.vline_mask[c] for c in images]
+    vline_mask, orth = ctx.vline_mask, ctx.orth_perm
+    masks = [vline_mask[c] for c in images]
     for star in ctx.code_stars:
         common = -1
         for v in star:
             common &= masks[v]
-            if not common:
-                break
+        if not common and orth is not None:
+            common = -1
+            for v in star:
+                common &= vline_mask[orth[images[v]]]
         if not common:
             for a, b in combinations(star, 2):
                 if not masks[a] & masks[b]:
@@ -422,11 +428,7 @@ def _common_line(ctx: LemmaContext, vids: Iterator[int]) -> Optional[int]:
     msk = ctx.all_lines_mask
     for c in vids:
         msk &= ctx.vline_mask[c]
-        if not msk:
-            return None
-    if msk.bit_count() != 1:
-        return None
-    return msk.bit_length() - 1
+    return msk.bit_length() - 1 if msk.bit_count() == 1 else None
 
 
 _Normalization = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]
@@ -441,29 +443,26 @@ def _normalize_ids(ctx: LemmaContext, images: tuple[int, ...]) -> _Normalization
     fail to span; both would be counterexamples to the cited structure
     results rather than ordinary data.
     """
-    a_images = [images[v] for v in ctx.all_A_vids]
-    common = _common_line(ctx, iter(a_images))
-    dualled = False
-    f1 = images
-    if common is None:
+    vline_mask, f1 = ctx.vline_mask, images
+    common = ctx.all_lines_mask
+    for v in ctx.all_A_vids:
+        common &= vline_mask[images[v]]
+    dualled = common.bit_count() != 1
+    if dualled:
         if ctx.orth_perm is None:
             raise Falsified("image of the maximal star is not a star")
-        rows: list[int] = []
-        for c in a_images:
-            rows.extend(ctx.full_bits[c])
-        if rank_bits(rows) != 3:
-            raise Falsified("image of the maximal star is neither a star nor a top")
-        dualled = True
+        # the A images span a 3-space T (a top) iff their orthocomplements share one line, T⊥
         f1 = tuple([ctx.orth_perm[c] for c in images])
-        common = _common_line(ctx, (f1[v] for v in ctx.all_A_vids))
-        if common is None:
-            raise Falsified("orthocomplemented star image is still not a star")
-    g1 = [common]
-    for i, lid in enumerate(ctx.frame_lids[1:], 1):
-        got = _common_line(ctx, (f1[v] for v in ctx.sc_code[lid]))
-        if got is None:
+    g1 = []
+    for i, lid in enumerate(ctx.frame_lids):
+        common = ctx.all_lines_mask
+        for v in ctx.sc_code[lid]:
+            common &= vline_mask[f1[v]]
+        if common.bit_count() != 1:
+            if not i:
+                raise Falsified("image of the maximal star is neither a star nor a top")
             raise Falsified(f"image of the star through axis complement {i} has no unique center")
-        g1.append(got)
+        g1.append(common.bit_length() - 1)
     # one span walk over the frame images: the normalizing map sends
     # back[s] to ctx.frame_span[s], and a zero at s > 0 means the frame
     # images do not span
@@ -667,9 +666,7 @@ def _classify_ids(
         return "unclassified", None, False
     moved = ctx.map_images(inv_cols, base)
     if dualled:
-        orth = ctx.orth_perm
-        assert orth is not None
-        moved = tuple([orth[t] for t in moved])
+        moved = tuple([ctx.orth_perm[t] for t in moved])
     if moved != images:
         return "unclassified", None, False
     return kind, inv_cols, dualled

@@ -285,7 +285,7 @@ def without_line(ctx, vid, lid):
     ``lid``, so every edge whose images share only that line looks lost."""
     masks = list(ctx.vline_mask)
     masks[vid] &= ~(1 << lid)
-    return types.SimpleNamespace(code_stars=ctx.code_stars, vline_mask=masks)
+    return types.SimpleNamespace(code_stars=ctx.code_stars, vline_mask=masks, orth_perm=ctx.orth_perm)
 
 
 def with_full_edges(ctx, pairs):
@@ -322,6 +322,25 @@ def test_context_refuses_stars_that_miss_an_edge(monkeypatch):
     monkeypatch.setattr(verify, "len", lambda x: 1 if x == dropped else len(x), raising=False)
     with pytest.raises(Falsified, match="pairs, not the 51 code edges"):
         verify.LemmaContext(4)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_context_refuses_an_orthocomplement_that_is_not_an_automorphism(monkeypatch, swap):
+    # fault: one plane's orthocomplement reads as another plane's (no
+    # longer an involution), or two planes swap their orthocomplements
+    # (still an involution, but their rows differ); either way the
+    # recheck's orthocomplement step could vouch for edges that are lost
+    full = build_context(4).full
+    real = verify.orthocomplement
+    x, y = full.vertices[0], full.vertices[1]
+    assert full.adj[0] != full.adj[1]
+    wrong = {x: real(y)}
+    if swap:
+        wrong.update({y: real(x), real(x): y, real(y): x})
+    monkeypatch.setattr(verify, "orthocomplement", lambda s: wrong[s] if s in wrong else real(s))
+    with pytest.raises(Falsified, match="the orthocomplement is no automorphism"):
+        verify.LemmaContext(4)
+    assert build_context(4).orth_perm == tuple(full.index[real(s)] for s in full.vertices)
 
 
 @pytest.mark.parametrize("n", [4, 5, 7])
@@ -361,17 +380,38 @@ def test_recheck_agrees_with_the_pairwise_reference(n):
         )
         assert star_common_line(ctx, moved, star[:-1]) and not star_common_line(ctx, moved, star)
         maps[f"{base_name}-lost-in-star"] = tuple(moved)
+    bases = [ctx.gid, ctx.h_gid]
+    orth = ctx.orth_perm
+    if n == 4:
+        # the same maps after the orthocomplement: each star of three or
+        # more goes to a top, so the recheck reaches its orthocomplement
+        # step, and in the lost-in-star maps that step finds the star's
+        # orthocomplements one line short
+        for name in [name for name in maps if "stream" not in name]:
+            maps[f"orth-{name}"] = tuple(orth[c] for c in maps[name])
+        for base_name in ("gid", "h_gid"):
+            dual = maps[f"orth-{base_name}"]
+            assert not any(star_common_line(ctx, dual, s) for s in ctx.code_stars if len(s) > 2)
+            moved = maps[f"orth-{base_name}-lost-in-star"]
+            assert not star_common_line(ctx, moved, star[:-1])
+            dual_moved = tuple(orth[c] for c in moved)
+            assert star_common_line(ctx, dual_moved, star[:-1]) and not star_common_line(ctx, dual_moved, star)
+            bases.append(dual)
     for name, images in maps.items():
         expected = pairwise_recheck(ctx, images)
         assert is_valid_embedding(ctx, images) is expected, name
-        assert expected is (name in ("gid", "h_gid") or "stream" in name), name
+        assert expected is (name.removeprefix("orth-") in ("gid", "h_gid") or "stream" in name), name
     for i, j in (first, last):
-        for base in (ctx.gid, ctx.h_gid):
+        for base in bases:
             # a true edge, the first or the last, looks lost: one image's
-            # line mask lacks the line that the edge's images share
-            shared = ctx.vline_mask[base[i]] & ctx.vline_mask[base[j]]
-            assert shared.bit_count() == 1
-            view = without_line(ctx, base[i], shared.bit_length() - 1)
+            # line mask lacks the line that the edge's images share, and
+            # at n = 4 so does its orthocomplement's, or the
+            # orthocomplement step would still vouch for the edge
+            view = ctx
+            for a, b in ((base[i], base[j]),) + (((orth[base[i]], orth[base[j]]),) if orth else ()):
+                shared = ctx.vline_mask[a] & ctx.vline_mask[b]
+                assert shared.bit_count() == 1
+                view = without_line(view, a, shared.bit_length() - 1)
             assert is_valid_embedding(view, base) is False
             # a map that sends the edge onto a non-adjacent pair, judged
             # against rows that carry a spurious edge for every lost pair:
@@ -523,15 +563,18 @@ def test_normalization_matches_the_elimination_route_on_the_n4_stream(ctx4, n4_s
         assert _normalize_ids(ctx4, images) == reference_normalize(ctx4, images)
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_normalization_matches_the_elimination_route_on_seeded_maps(n):
     # restrictions and collapse composites of seeded matrices, some with
     # two images swapped or one image replaced, so the rejections are
-    # compared too (as their messages)
+    # compared too (as their messages); at n = 4 a third of them are
+    # orthocomplemented and a third have their A-star images collapsed
+    # onto one or two planes, which the rank-free top test must reject
+    # or pass as the reference's rank test does
     ctx = build_context(n)
     rng = random.Random(500 + n)
     outcomes = set()
-    for k in range(200):
+    for k in range(600 if n == 4 else 200):
         cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
         while rank_bits(cols) != n:
             cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
@@ -541,11 +584,18 @@ def test_normalization_matches_the_elimination_route_on_seeded_maps(n):
             images[a], images[b] = images[b], images[a]
         elif k % 4 == 3:
             images[rng.randrange(ctx.nc)] = rng.randrange(ctx.full.nv)
+        if n == 4 and k % 3 == 1:
+            images = [ctx.orth_perm[c] for c in images]
+        elif n == 4 and k % 3 == 2:
+            kept = [images[v] for v in ctx.all_A_vids[: 1 + k % 2]]
+            for v in ctx.all_A_vids:
+                images[v] = rng.choice(kept)
         images = tuple(images)
         got = normalized_or_error(_normalize_ids, ctx, images)
         assert got == normalized_or_error(reference_normalize, ctx, images), k
-        outcomes.add(type(got))
-    assert outcomes == {tuple, str}
+        outcomes.add(got if isinstance(got, str) else ("linear", "dual")[got[3]])
+    assert "linear" in outcomes and len(outcomes) >= 3
+    assert ("dual" in outcomes) is ("image of the maximal star is neither a star nor a top" in outcomes) is (n == 4)
 
 
 @pytest.mark.parametrize("n", [4, 5, 7])
