@@ -238,24 +238,26 @@ class SearchPlan:
     non-neighbours, each as ``p - d - 1`` for its position p in the
     order: its index in a search's snapshot at depth d + 1.  Every depth
     is built when the plan is made, and every search with the plan reads
-    the same lists.  The plan belongs to its caller: its lists live
-    exactly as long as the caller keeps it.  Its fields cannot be
-    reassigned, so lists built for one order or mode never serve another.
+    the same lists; with ``order=None`` the search picks as it goes
+    (``_fail_first``) and both are empty.  The plan belongs to its
+    caller: its lists live exactly as long as the caller keeps it.  Its
+    fields cannot be reassigned, so lists built for one order or mode
+    never serve another.
     """
 
     src_adj: tuple[int, ...]
-    order: tuple[int, ...]
+    order: tuple[int, ...] | None
     induced: bool = False
     later: tuple = field(init=False, repr=False)
     apart: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # a copy, so the caller's list cannot change under the built lists
-        order = tuple(self.order)
+        order = None if self.order is None else tuple(self.order)
         # 0 .. nv-1 once, so every list shares these int objects
-        offsets = tuple(range(len(order)))
+        offsets = tuple(range(len(order or ())))
         later, apart = [], []
-        for d, v in enumerate(order):
+        for d, v in enumerate(order or ()):
             row = self.src_adj[v]
             rest = list(zip(offsets, order[d + 1 :]))
             later.append(tuple(j for j, w in rest if (row >> w) & 1))
@@ -289,7 +291,13 @@ def backtrack(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) ->
     depth a search holds about nv**2 / 2 list slots, plus one int per
     narrowing along the path.  The last vertex has no later vertex, so
     its candidates are yielded straight from its domain.
+
+    A dynamic plan (``order=None``) runs ``_fail_first``: the same maps,
+    in its own order.
     """
+    if plan.order is None:
+        yield from _fail_first(plan, tgt_adj, domains)
+        return
     order = plan.order
     later, apart = plan.later, plan.apart
     last = len(order) - 1
@@ -353,6 +361,71 @@ def backtrack(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) ->
                     mapping[top] = b.bit_length() - 1
                     yield tuple(mapping)
                 d -= 1
+
+
+def _fail_first(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) -> Iterator[tuple[int, ...]]:
+    """``backtrack`` in a dynamic order (fail-first, Haralick & Elliott
+    1980): each node takes the first unplaced vertex, by id, with at most
+    one free candidate, else the one with the fewest, ties to the smaller
+    id.  A node on the stack holds its untried candidates, a
+    vertex-indexed snapshot of the domains, the targets used above it,
+    its vertex v and the vertices still unplaced after v, in id order.
+    One pass over those narrows the neighbours of v (and, when induced,
+    the non-neighbours, read off ``src_adj``) and counts free candidates
+    up to the pick; a narrowed or counted domain with none kills the
+    branch.
+    """
+    src_adj, induced = plan.src_adj, plan.induced
+    mapping = [0] * len(src_adj)
+    many = max(dom.bit_length() for dom in domains) + 1  # above any count
+    stack: list = []
+    # the node to open next: its domains, used targets, unplaced vertices
+    # and pick, which has ``least`` free candidates (none: a dead node);
+    # the root takes the fewest, as a vertex with none ends it either way
+    best = min(range(len(src_adj)), key=lambda w: (domains[w].bit_count(), w))
+    child, u, rest, least = list(domains), 0, list(range(len(src_adj))), domains[best].bit_count()
+    while True:
+        if least:
+            rest = rest[:]
+            rest.remove(best)
+            stack.append([child[best] & ~u, child, u, best, rest])
+            least = 0
+        if not stack:
+            return
+        top = stack[-1]
+        m, dom, u, v, rest = top
+        if not m:
+            stack.pop()
+            continue
+        b = m & -m
+        top[0] = m ^ b
+        mapping[v] = c = b.bit_length() - 1
+        if not rest:
+            yield tuple(mapping)
+            continue
+        u |= b
+        free, child, row = ~u, dom[:], src_adj[v]
+        adj_c = tgt_adj[c]
+        far, best, least = ~adj_c, -1, many
+        for w in rest:
+            x = child[w]
+            if (row >> w) & 1:
+                x &= adj_c
+                child[w] = x
+            elif induced:
+                x &= far
+                child[w] = x
+            elif least < 2:
+                continue
+            if least > 1:
+                k = (x & free).bit_count()
+                if k < least:
+                    best, least = w, k
+                    if not k:
+                        break
+            elif not x & free:
+                least = 0
+                break
 
 
 def connected_components(g: CodeGraph) -> list[set[int]]:

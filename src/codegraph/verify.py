@@ -355,18 +355,16 @@ def group_fields(ctx: LemmaContext) -> dict[str, int | bool]:
 # search
 
 
-def _embeddings(ctx: LemmaContext, order: list[int]) -> Iterator[tuple[int, ...]]:
+def _embeddings(ctx: LemmaContext, order: Optional[list[int]]) -> Iterator[tuple[int, ...]]:
     """Image tuples of every embedding, in lexicographic order of the
-    images along ``order``."""
+    images along ``order``, or fail-first when it is None."""
     domains = [(1 << ctx.full.nv) - 1] * ctx.nc
     return backtrack(SearchPlan(ctx.code.adj, order), ctx.full.adj, domains)
 
 
-def _order_for(ctx: LemmaContext, variant: int) -> list[int]:
-    if variant:
-        # alternative deterministic order for completeness cross-checks
-        return list(reversed(ctx.search_order))
-    return ctx.search_order
+def _order_for(ctx: LemmaContext, variant: int) -> Optional[list[int]]:
+    # the completeness cross-check runs the fail-first order
+    return None if variant else ctx.search_order
 
 
 def _require_exhaustive(n: int) -> None:

@@ -253,11 +253,14 @@ def test_backtrack_matches_brute_force_on_random_graphs():
         domains = [(1 << nt) - 1] * ns
         domains[rng.randrange(ns)] = rng.getrandbits(nt)
         for induced in (False, True):
-            maps = list(backtrack(SearchPlan(src, order, induced), tgt, domains))
-            assert len(set(maps)) == len(maps)
-            assert set(maps) == brute_force_maps(src, tgt, domains, induced)
-            # deterministic: lexicographic in the images along the order
-            assert maps == sorted(maps, key=lambda m: [m[v] for v in order])
+            want = brute_force_maps(src, tgt, domains, induced)
+            for plan_order in (order, None):
+                maps = list(backtrack(SearchPlan(src, plan_order, induced), tgt, domains))
+                assert len(set(maps)) == len(maps)
+                assert set(maps) == want
+                if plan_order is not None:
+                    # deterministic: lexicographic in the images along the order
+                    assert maps == sorted(maps, key=lambda m: [m[v] for v in order])
 
 
 def reference_backtrack(src_adj, tgt_adj, order, domains, induced=False):
@@ -350,6 +353,9 @@ def test_backtrack_matches_the_reference_kernel(ns):
         for induced in (False, True):
             want = list(reference_backtrack(src, tgt, order, domains, induced))
             assert list(backtrack(SearchPlan(src, order, induced), tgt, domains)) == want
+            # the dynamic order yields the same maps, each once, in its own order
+            maps = list(backtrack(SearchPlan(src, None, induced), tgt, domains))
+            assert len(set(maps)) == len(maps) and set(maps) == set(want)
 
 
 @pytest.mark.parametrize("ns", range(1, 8))
@@ -360,7 +366,96 @@ def test_backtrack_with_an_empty_last_domain_yields_nothing(ns):
         domains[order[-1]] = 0
         for induced in (False, True):
             assert list(reference_backtrack(src, tgt, order, domains, induced)) == []
-            assert list(backtrack(SearchPlan(src, order, induced), tgt, domains)) == []
+            for plan_order in (order, None):
+                assert list(backtrack(SearchPlan(src, plan_order, induced), tgt, domains)) == []
+
+
+def test_fail_first_counts_pinned_automorphisms():
+    # the shape of the chain's orbit searches and of the group fields: the
+    # graph into itself, induced, with some vertices pinned to one target
+    rng = random.Random(6)
+    for _ in range(40):
+        nv = rng.randint(2, 7)
+        adj = random_adj(rng, nv, rng.uniform(0.2, 0.8))
+        domains = [(1 << nv) - 1] * nv
+        for v in rng.sample(range(nv), rng.randint(1, nv - 1)):
+            domains[v] = 1 << rng.randrange(nv)
+        maps = list(backtrack(SearchPlan(adj, None, induced=True), adj, domains))
+        assert len(set(maps)) == len(maps) and set(maps) == brute_force_maps(adj, adj, domains, True)
+
+
+class Reads(tuple):
+    """An adjacency tuple that logs every row index read from it."""
+
+    def __new__(cls, rows, log):
+        self = super().__new__(cls, rows)
+        self.log = log
+        return self
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
+
+
+def check_forward_checking(src, tgt, domains, induced, tries):
+    """Replay the (vertex, target) tries of a dynamic search.  Vertices on
+    a search path are distinct, so a try of a vertex already on the path
+    backs up to it.  Every try must respect the path above it, and the
+    path's last assignment must have left each of its unplaced
+    neighbours (with ``induced``, each unplaced vertex) a free candidate:
+    a branch dies on a domain with none, whatever order the vertices are
+    picked in."""
+    path: list[tuple[int, int]] = []
+    for v, c in tries:
+        while v in dict(path):
+            path.pop()
+        placed, used = dict(path), {t for _, t in path}
+
+        def narrowed(w):
+            dom = domains[w]
+            for p, t in placed.items():
+                if (src[w] >> p) & 1:
+                    dom &= tgt[t]
+                elif induced:
+                    dom &= ~tgt[t]
+            return dom & ~sum(1 << t for t in used)
+
+        assert (narrowed(v) >> c) & 1
+        if path:
+            last = path[-1][0]
+            for w in range(len(src)):
+                if w not in placed and (induced or (src[last] >> w) & 1):
+                    assert narrowed(w), (path, w)
+        path.append((v, c))
+
+
+def test_fail_first_keeps_the_forward_checking_contract():
+    # the search's tries, read off the rows it asks for: the source row
+    # of the vertex it assigns and the target row of its candidate (the
+    # last vertex of a path yields without either)
+    rng = random.Random(8)
+    checked = 0
+    for _ in range(60):
+        src, tgt, _, domains = random_search(rng, rng.randint(2, 7), 8)
+        for induced in (False, True):
+            vs, cs = [], []
+            plan = SearchPlan(Reads(src, vs), None, induced)
+            maps = list(backtrack(plan, Reads(tgt, cs), domains))
+            assert set(maps) == brute_force_maps(src, tgt, domains, induced)
+            assert len(vs) == len(cs)
+            check_forward_checking(src, tgt, domains, induced, zip(vs, cs))
+            checked += len(vs)
+    assert checked > 1000
+
+
+def test_fail_first_stream_at_n4_equals_the_static_and_reference_streams():
+    code, full = build_graph(4, 2, 2, KIND_NONDEGENERATE), build_graph(4, 2, 2)
+    order = greedy_order(code.adj)
+    domains = [(1 << full.nv) - 1] * code.nv
+    dynamic = list(backtrack(SearchPlan(code.adj, None), full.adj, domains))
+    static = set(backtrack(SearchPlan(code.adj, order), full.adj, domains))
+    assert len(dynamic) == len(set(dynamic)) == len(static) == 80640
+    assert set(dynamic) == static == set(reference_backtrack(code.adj, full.adj, order, domains))
 
 
 def test_a_plan_reused_across_searches_yields_what_fresh_plans_yield():
@@ -411,6 +506,13 @@ def test_plan_fields_cannot_be_reassigned():
         with pytest.raises(AttributeError):
             setattr(plan, name, value)
     assert plan.order == (1, 0) and plan.induced is False
+
+
+def test_a_dynamic_plan_builds_no_lists():
+    # the search picks its order as it goes, so there are no depths to build
+    for induced in (False, True):
+        plan = SearchPlan((0b110, 0b101, 0b011), None, induced)
+        assert plan.order is None and plan.later == plan.apart == ()
 
 
 def test_mask_ids_lists_the_set_bits_in_increasing_order():

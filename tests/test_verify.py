@@ -306,6 +306,13 @@ def star_common_line(ctx, images, star) -> int:
     return common
 
 
+def star_centre(ctx, images, star):
+    """The one line that the images of ``star`` share, or None; the line
+    masks are ANDed here, not through the route's own helper."""
+    common = star_common_line(ctx, images, star)
+    return common.bit_length() - 1 if common.bit_count() == 1 else None
+
+
 @pytest.mark.parametrize("n", [4, 5, 7])
 def test_code_stars_hold_every_code_edge_once(n):
     ctx = build_context(n)
@@ -439,6 +446,22 @@ def test_h_appears_in_its_branch(ctx4):
     assert ctx4.h_gid in backtrack(SearchPlan(ctx4.code.adj, order), ctx4.full.adj, domains)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_frame_narrowed_fail_first_search_finds_the_identity_and_the_collapse(n):
+    # every code vertex on the star of a frame line Q, P^1..P^(n-1) may
+    # only go to the planes through that line; from there the dynamic
+    # order finds exactly the two maps of the dichotomy (a static order
+    # stalls on these domains at n = 7)
+    ctx = build_context(n)
+    domains = [(1 << ctx.full.nv) - 1] * ctx.nc
+    for lid in ctx.frame_lids:
+        through = sum(1 << c for c, lines in enumerate(ctx.vline_mask) if (lines >> lid) & 1)
+        for v in ctx.sc_code[lid]:
+            domains[v] &= through
+    found = list(backtrack(SearchPlan(ctx.code.adj, None), ctx.full.adj, domains))
+    assert sorted(found) == sorted([ctx.gid, ctx.h_gid])
+
+
 def test_wall_ms_covers_certification_only(ctx4, monkeypatch, bound_stream):
     # the context build and the group fields both come before the clock
     for name in ("build_context", "group_fields"):
@@ -514,7 +537,7 @@ def reference_normalize(ctx, images):
     inverse through the fixed inverse of the frame matrix D."""
     n = ctx.n
     a_images = [images[v] for v in ctx.all_A_vids]
-    common = verify._common_line(ctx, iter(a_images))
+    common = star_centre(ctx, images, ctx.all_A_vids)
     dualled, f1 = False, images
     if common is None:
         if ctx.orth_perm is None:
@@ -522,12 +545,12 @@ def reference_normalize(ctx, images):
         if rank_bits([r for c in a_images for r in ctx.full_bits[c]]) != 3:
             raise Falsified("image of the maximal star is neither a star nor a top")
         dualled, f1 = True, tuple(ctx.orth_perm[c] for c in images)
-        common = verify._common_line(ctx, (f1[v] for v in ctx.all_A_vids))
+        common = star_centre(ctx, f1, ctx.all_A_vids)
         if common is None:
             raise Falsified("orthocomplemented star image is still not a star")
     g1 = [common]
     for i, lid in enumerate(ctx.frame_lids[1:], 1):
-        got = verify._common_line(ctx, (f1[v] for v in ctx.sc_code[lid]))
+        got = star_centre(ctx, f1, ctx.sc_code[lid])
         if got is None:
             raise Falsified(f"image of the star through axis complement {i} has no unique center")
         g1.append(got)
@@ -671,7 +694,7 @@ def reference_subset_spans(ctx, fp):
 
 def reference_lemma_chain(ctx, fp):
     """Reference invariant chain, one plain loop per check: lemma3 finds
-    each star's centre through ``_common_line``, lemma4 tests every S_I
+    each star's centre through ``star_centre``, lemma4 tests every S_I
     member's line mask in turn, lemma5 tests its hypothesis member by
     member, and the spans come from ``reference_subset_spans``."""
     gid = ctx.gid
@@ -740,7 +763,7 @@ def reference_lemma_chain(ctx, fp):
     lemma3_ok = True
     lemma3_witness = None
     for lid in ctx.gprime_lids:
-        got = verify._common_line(ctx, (fp[v] for v in ctx.sc_code[lid]))
+        got = star_centre(ctx, fp, ctx.sc_code[lid])
         if got is None:
             lemma3_ok, lemma3_witness = False, {"line": ctx.lines[lid].inline_text()}
             break
@@ -777,7 +800,7 @@ def reference_lemma_chain(ctx, fp):
     g1_pn_ok = False
     g1_pn_witness = None
     pn_lid = ctx.p_upper[ctx.n - 1]
-    got = verify._common_line(ctx, (fp[v] for v in ctx.sc_code[pn_lid]))
+    got = star_centre(ctx, fp, ctx.sc_code[pn_lid])
     if got is not None and kind is not None:
         # the collapse map fixes the lines inside H and twins the others
         expected = pn_lid if kind == "identity" or ctx.pn_in_H else ctx.p_lower[ctx.n - 1]
@@ -1063,20 +1086,28 @@ def test_frame_equation_before_normalization(ctx4):
 
 
 def test_certificate_invariant_across_orders(certificate4, monkeypatch):
-    # the certification stream, in the reversed search order
-    real = verify._embeddings
-    orders = []
+    # the certification stream in the cross-check's order, fail-first
+    real_embeddings, real_backtrack = verify._embeddings, verify.backtrack
+    orders, plans = [], []
 
-    def reversed_order(ctx, order):
+    def cross_check_order(ctx, order):
         orders.append(_order_for(ctx, 1))
-        return real(ctx, orders[-1])
+        return real_embeddings(ctx, orders[-1])
 
-    monkeypatch.setattr(verify, "_embeddings", reversed_order)
+    def search(plan, *args):
+        plans.append(plan)
+        return real_backtrack(plan, *args)
+
+    monkeypatch.setattr(verify, "_embeddings", cross_check_order)
+    monkeypatch.setattr(verify, "backtrack", search)
     base = dict(certificate4)
     base.pop("wall_ms")
     other_order = certify_theorem(4)
     other_order.pop("wall_ms")
-    assert orders == [list(reversed(build_context(4).search_order))]
+    assert orders == [None]
+    # the stream ran through a dynamic plan (the group fields' chain and
+    # searches keep their static plans)
+    assert [p.order for p in plans if p.src_adj is build_context(4).code.adj] == [None]
     assert other_order == base
 
 
