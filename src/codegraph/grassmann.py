@@ -40,8 +40,6 @@ def is_nondegenerate(x: Subspace) -> bool:
 
     Equivalent to the canonical basis matrix having no all-zero column.
     """
-    if x.k == 0:
-        return x.n == 0
     return all(any(row[j] for row in x.rows) for j in range(x.n))
 
 

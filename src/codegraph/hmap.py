@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 from .errors import Falsified, ParameterError
@@ -215,67 +216,23 @@ def verify_h(n: int) -> dict:
     images = [h_map(x) for x in g.vertices]
     assertions = []
 
-    injective = len(set(images)) == g.nv
-    assertions.append({"name": "injective", "passed": injective, "witness": None})
+    def record(name: str, passed: bool, witness=None) -> None:
+        assertions.append({"name": name, "passed": passed, "witness": witness})
 
-    bad_edge = None
-    for i, j in iter_edges(g):
-        if not is_adjacent(images[i], images[j]):
-            bad_edge = (i, j)
-            break
-    assertions.append(
-        {
-            "name": "adjacency_preserved_forward",
-            "passed": bad_edge is None,
-            "witness": None
-            if bad_edge is None
-            else {
-                "x": g.vertices[bad_edge[0]].inline_text(),
-                "y": g.vertices[bad_edge[1]].inline_text(),
-            },
-        }
-    )
+    def pair(ij: tuple[int, int] | None) -> dict | None:
+        return None if ij is None else {"x": g.vertices[ij[0]].inline_text(), "y": g.vertices[ij[1]].inline_text()}
 
-    strict = None
-    for i in range(g.nv):
-        for j in range(i + 1, g.nv):
-            if not g.is_edge(i, j) and is_adjacent(images[i], images[j]):
-                strict = (i, j)
-                break
-        if strict is not None:
-            break
-    assertions.append(
-        {
-            "name": "one_direction_only",
-            "passed": strict is not None,
-            "witness": None
-            if strict is None
-            else {
-                "x": g.vertices[strict[0]].inline_text(),
-                "y": g.vertices[strict[1]].inline_text(),
-            },
-        }
+    record("injective", len(set(images)) == g.nv)
+    bad_edge = next(((i, j) for i, j in iter_edges(g) if not is_adjacent(images[i], images[j])), None)
+    record("adjacency_preserved_forward", bad_edge is None, pair(bad_edge))
+    strict = next(
+        ((i, j) for i, j in combinations(range(g.nv), 2) if not g.is_edge(i, j) and is_adjacent(images[i], images[j])),
+        None,
     )
-
-    bad_c = next(
-        (v for v in sorted(part.C) if is_nondegenerate(images[v])), None
-    )
-    assertions.append(
-        {
-            "name": "c_images_degenerate",
-            "passed": bad_c is None,
-            "witness": None if bad_c is None else g.vertices[bad_c].inline_text(),
-        }
-    )
-
-    morphism_ok, morphism_witness = _check_morphism(n)
-    assertions.append(
-        {
-            "name": "point_map_morphism_noninjective",
-            "passed": morphism_ok,
-            "witness": morphism_witness,
-        }
-    )
+    record("one_direction_only", strict is not None, pair(strict))
+    bad_c = next((v for v in sorted(part.C) if is_nondegenerate(images[v])), None)
+    record("c_images_degenerate", bad_c is None, None if bad_c is None else g.vertices[bad_c].inline_text())
+    record("point_map_morphism_noninjective", *_check_morphism(n))
 
     return {
         "n": n,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, count
 from typing import Iterable, Iterator, Optional
 
@@ -155,9 +154,8 @@ class LemmaContext:
 
         ones = (1 << n) - 1
         self.q_lid = self.line_id[ones]
-        # P^i = complement of {i}; P_i = e_i
+        # P^i = complement of {i}
         self.p_upper = tuple(self.line_id[ones ^ (1 << (i - 1))] for i in range(1, n + 1))
-        self.p_lower = tuple(self.line_id[1 << (i - 1)] for i in range(1, n + 1))
         # the frame Q, P^1..P^(n-1), whose last n - 1 lines span H
         self.frame_lids = (self.q_lid,) + self.p_upper[:-1]
         self.frame_dst = tuple(self.line_bits[lid] for lid in self.frame_lids)
@@ -259,11 +257,6 @@ class LemmaContext:
                 if orth[orth[u]] != u or sum(1 << orth[w] for w in mask_ids(row)) != adj[orth[u]]:
                     raise Falsified(f"the orthocomplement is no automorphism at {self.full.vertices[u].inline_text()}")
 
-    @cached_property
-    def search_order(self) -> list[int]:
-        """The exhaustive search's order; only the n = 4 route reads it."""
-        return greedy_order(self.code.adj)
-
     def _planes_under(self, img: list[int], vids: Iterable[int]) -> tuple[int, ...]:
         """Images of the planes ``vids`` under the injective vector map
         ``img``: the plane spanned by basis rows r1 and r2 goes to the
@@ -363,14 +356,16 @@ def _embeddings(ctx: LemmaContext, order: Optional[list[int]]) -> Iterator[tuple
 
 
 def _order_for(ctx: LemmaContext, variant: int) -> Optional[list[int]]:
-    # the completeness cross-check runs the fail-first order
-    return None if variant else ctx.search_order
+    # variant 0 is the certificate's static order; the completeness cross-check runs fail-first
+    return None if variant else greedy_order(ctx.code.adj)
 
 
 def _require_exhaustive(n: int) -> None:
-    """Exhaustive search finishes only at n = 4.  At n = 5 it yields 3072
-    embeddings in about 0.5 s and then none for at least 119 s, in
-    backtrack's static order, so a run there could never complete."""
+    """Exhaustive search finishes only at n = 4.  At n = 5, from full
+    domains, it yields 3072 embeddings at once and then stalls in both
+    of backtrack's orders: none for at least 119 s in the static greedy
+    order, none within 69 CPU s fail-first.  So a run there could never
+    complete."""
     if n != 4:
         raise ParameterError(f"exhaustive search is supported for n = 4 only, got n = {n}")
 
@@ -616,7 +611,7 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
     got = _common_line(ctx, (fp[v] for v in ctx.sc_code[pn_lid]))
     if got is not None and kind is not None:
         # the collapse map fixes the lines inside H and twins the others
-        expected = pn_lid if kind == "identity" or ctx.pn_in_H else ctx.p_lower[ctx.n - 1]
+        expected = pn_lid if kind == "identity" or ctx.pn_in_H else ctx.twin[pn_lid]
         g1_pn_ok = got == expected
         if not g1_pn_ok:
             g1_pn_witness = {"image": ctx.lines[got].inline_text()}
@@ -810,4 +805,4 @@ def certify_theorem(n: int, witness_dump: Optional[str] = None) -> dict:
     """
     _require_exhaustive(n)
     ctx = build_context(n)
-    return _certificate(ctx, _embeddings(ctx, ctx.search_order), group_fields(ctx), witness_dump)
+    return _certificate(ctx, _embeddings(ctx, _order_for(ctx, 0)), group_fields(ctx), witness_dump)

@@ -122,4 +122,4 @@ def n4_stream_sample(ctx4):
     search order, enumerated once per session."""
     from codegraph import verify
 
-    return tuple(itertools.islice(verify._embeddings(ctx4, ctx4.search_order), 0, None, 40))
+    return tuple(itertools.islice(verify._embeddings(ctx4, verify._order_for(ctx4, 0)), 0, None, 40))

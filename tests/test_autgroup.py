@@ -74,6 +74,13 @@ def test_apply_refuses_other_spaces():
             apply(ident, x)
 
 
+def test_generated_groups_refuse_k_outside_1_to_n_minus_1():
+    for group in (grassmann_aut_group, code_graph_aut_group):
+        for k in (0, 4):
+            with pytest.raises(ParameterError, match=f"need 1 <= k <= n-1, got k={k}, n=4"):
+                group(4, k, 2)
+
+
 def test_singular_matrix_rejected():
     # singular, too few or too many columns, a column wider than n bits,
     # a negative column

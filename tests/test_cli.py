@@ -3,7 +3,8 @@ import json
 import pytest
 
 from codegraph import cli, grassmann, hmap, verify
-from codegraph.fqlinalg import rref
+from codegraph.errors import Falsified
+from codegraph.fqlinalg import enumerate_subspaces, rref, subspace_sum
 
 
 def run_cli(capsys, argv):
@@ -85,6 +86,29 @@ def test_hmap_verify_ok(capsys):
     assert payload["class_sizes"] == {"A": 7, "B": 3, "C": 3}
 
 
+def test_graph_text_names_the_complete_regime(capsys):
+    code, out = run_cli(capsys, ["graph", "--n", "4", "--k", "1"])
+    assert code == 0
+    assert out.splitlines()[-1] == "complete graph regime (k is 1 or n-1)"
+    code, out = run_cli(capsys, ["graph", "--n", "4", "--k", "2"])
+    assert code == 0 and "complete graph regime" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["aut", "--n", "4", "--k", "4"], "need 1 <= k <= n-1, got k=4, n=4"),
+        # full G(7,2) has 2667 vertices
+        (["cliques", "--n", "7"], "clique enumeration needs at most 2000 vertices, got 2667"),
+    ],
+    ids=["aut-k-equals-n", "cliques-past-the-vertex-cap"],
+)
+def test_documented_refusals_exit_2(capsys, argv, reason):
+    code = cli.main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"invalid configuration: {reason}\n"
+
+
 def test_aut_command(capsys):
     code, out = run_cli(
         capsys, ["aut", "--n", "4", "--k", "2", "--q", "2", "--format", "json"]
@@ -126,6 +150,27 @@ def test_aut_direct_counts_g52(capsys):
     payload = json.loads(out)
     assert payload["direct_full"] == payload["grassmann_aut_order"] == 9999360
     assert payload["match"] is True
+
+
+def test_aut_direct_mismatch_reaches_exit_1(capsys, monkeypatch):
+    # fault: the chain counts one automorphism too many, so the direct
+    # counts disagree with the generated orders
+    real = cli.autgroup.graph_automorphisms
+
+    def off_by_one(g):
+        found, transversals = real(g)
+        return found + 1, transversals
+
+    monkeypatch.setattr(cli.autgroup, "graph_automorphisms", off_by_one)
+    argv = ["aut", "--n", "4", "--k", "2", "--direct"]
+    code, out = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["direct_full"] == payload["grassmann_aut_order"] + 1
+    assert payload["match"] is False
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert out.splitlines()[-1] == "MISMATCH between generated and direct counts"
 
 
 def test_invalid_config_exit_2(capsys):
@@ -247,6 +292,114 @@ def test_injected_collision_fault_reaches_exit_1(capsys, monkeypatch):
     code, out = run_cli(capsys, ["hmap-verify", "--n", "4", "--format", "json"])
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def falsified_run(capsys, argv) -> str:
+    """Run the CLI, check that it stops with exit 1 through a Falsified
+    exception, before any report is written, and return the message."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("falsified: ")
+    return captured.err[len("falsified: "):].rstrip("\n")
+
+
+def test_class_c_disagreement_reaches_exit_1(capsys, monkeypatch):
+    # fault: the structural reading finds no C-class code, so it disagrees
+    # with the set-theoretic reading on the first C-class plane
+    monkeypatch.setattr(hmap, "_structural_c_decomposition", lambda x, frame: None)
+    message = falsified_run(capsys, ["hmap-verify", "--n", "4"])
+    assert message.startswith("class-C membership disagreement on ")
+    assert message.endswith("set-theoretic=True, structural=False")
+
+
+# Stand-ins for the ``subspace_sum`` that builds a C-class plane's
+# companion from the twins a and b of its two lines outside H, each
+# breaking one of ``h_map``'s postconditions at n = 4.
+
+
+def planes_of_h() -> list:
+    return [y for y in enumerate_subspaces(4, 2, 2) if hmap.special_frame(4).H.contains(y)]
+
+
+def escaping_companion(a, b):
+    # the twins of a and b span the C-class plane itself, which leaves H
+    return subspace_sum(*(hmap.p_copoint(hmap.line_support(p), 4) for p in (a, b)))
+
+
+def nondegenerate_companion(a, b):
+    return next(y for y in planes_of_h() if grassmann.is_nondegenerate(y))
+
+
+def companion_missing_the_inside_line(a, b):
+    # the C-class plane meets H in the line of a + b, which this plane misses
+    t = rref([tuple(u ^ v for u, v in zip(a.rows[0], b.rows[0]))])
+    return next(y for y in planes_of_h() if not grassmann.is_nondegenerate(y) and not y.contains(t))
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (escaping_companion, "companion escaped the hyperplane"),
+        (nondegenerate_companion, "companion is unexpectedly non-degenerate"),
+        (companion_missing_the_inside_line, "companion meets x in the wrong line"),
+    ],
+    ids=["escaped", "nondegenerate", "wrong-line"],
+)
+def test_collapse_postconditions_reach_exit_1(capsys, monkeypatch, fault, message):
+    monkeypatch.setattr(hmap, "subspace_sum", fault)
+    assert falsified_run(capsys, ["hmap-verify", "--n", "4"]) == message
+
+
+def test_point_map_spanning_no_line_reaches_exit_1(capsys, monkeypatch):
+    # fault: the point map fixes e_1, which lies outside H and should go to
+    # its twin, so some plane through e_1 goes to three independent points
+    real = hmap.projective_morphism
+    e1 = hmap.p_point({1}, 4)
+    monkeypatch.setattr(hmap, "projective_morphism", lambda p: p if p == e1 else real(p))
+    code, out = run_cli(capsys, ["hmap-verify", "--n", "4", "--format", "json"])
+    assert code == 1
+    by_name = {a["name"]: a for a in json.loads(out)["assertions"]}
+    assert [name for name, a in by_name.items() if not a["passed"]] == ["point_map_morphism_noninjective"]
+    witness = by_name["point_map_morphism_noninjective"]["witness"]
+    assert witness["reason"] == "image spans no line"
+    assert witness["line"] in {w.inline_text() for w in enumerate_subspaces(4, 2, 2) if w.contains(e1)}
+
+
+def test_soundness_failure_reaches_exit_1_without_a_verdict(tmp_path, capsys, monkeypatch):
+    # fault: the search yields the identity embedding, then a map that
+    # sends two code planes to one image; the recheck must reject the
+    # second before it is normalized, classified or dumped
+    def stream(ctx, order):
+        collision = list(ctx.gid)
+        collision[1] = collision[0]
+        return iter([ctx.gid, tuple(collision)])
+
+    monkeypatch.setattr(verify, "_embeddings", stream)
+    dump = tmp_path / "witnesses.txt"
+    code, out = run_cli(capsys, ["theorem", "--n", "4", "--format", "json", "--witness-dump", str(dump)])
+    assert code == 1
+    payload = json.loads(out)
+    counts = {
+        key: payload[key]
+        for key in ("embeddings_total", "soundness_failures", "extendable", "exceptional", "unclassified")
+    }
+    assert counts == {
+        "embeddings_total": 2, "soundness_failures": 1, "extendable": 1, "exceptional": 0, "unclassified": 0,
+    }
+    assert payload["lemma_chain"]["normalize"] == {"pass": 1, "fail": 0}
+    assert [line.split()[:2] for line in dump.read_text(encoding="utf-8").splitlines()] == [["0", "extendable"]]
+
+
+def test_falsified_exception_reaches_exit_1(capsys, monkeypatch):
+    # fault: the group fields refute the premise, which they report by
+    # raising; the run must end with exit 1 and no report
+    def refuted(ctx):
+        raise Falsified("injected refutation")
+
+    monkeypatch.setattr(verify, "group_fields", refuted)
+    assert falsified_run(capsys, ["theorem", "--n", "4"]) == "injected refutation"
 
 
 def test_machine_output_is_byte_identical(capsys):

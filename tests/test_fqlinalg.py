@@ -78,12 +78,18 @@ def test_rref_dimension_mismatch():
 
 
 def test_subspace_rejects_non_canonical_rows():
-    with pytest.raises(ValueError):
-        Subspace(3, 2, ((1, 1, 0), (0, 1, 0)))  # pivot column not cleared
-    with pytest.raises(ValueError):
-        Subspace(3, 2, ((0, 1, 0), (1, 0, 0)))  # pivots out of order
-    with pytest.raises(ValueError):
-        Subspace(3, 3, ((0, 2, 0),))  # pivot entry not 1
+    with pytest.raises(ValueError, match="pivot column not cleared"):
+        Subspace(3, 2, ((1, 1, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="pivot columns not strictly increasing"):
+        Subspace(3, 2, ((0, 1, 0), (1, 0, 0)))
+    with pytest.raises(ValueError, match="pivot entry is not 1"):
+        Subspace(3, 3, ((0, 2, 0),))
+    with pytest.raises(ValueError, match="basis row width differs from ambient dimension"):
+        Subspace(3, 2, ((1, 0),))
+    with pytest.raises(ValueError, match="basis entry out of field range"):
+        Subspace(3, 2, ((1, 0, 2),))
+    with pytest.raises(ValueError, match="zero basis row"):
+        Subspace(3, 2, ((0, 0, 0),))
 
 
 def test_sum_examples():

@@ -12,7 +12,7 @@ reason it stays.
 """
 
 import ast
-import re
+from functools import lru_cache
 from pathlib import Path
 
 import codegraph
@@ -143,6 +143,13 @@ def references(tree: ast.AST) -> set[str]:
     return found
 
 
+@lru_cache(maxsize=None)
+def text_references(text: str, filename: str) -> frozenset[str]:
+    """``references`` of a file's text, parsed once per distinct text, so a
+    file that a test rewrites is parsed again."""
+    return frozenset(references(ast.parse(text, filename)))
+
+
 def unreferenced_defs(path: Path, corpus: list[Path]) -> list[str]:
     """Public functions, classes and methods defined in ``path`` that no
     file of ``corpus`` refers to (see ``references``), in the order they
@@ -156,7 +163,7 @@ def unreferenced_defs(path: Path, corpus: list[Path]) -> list[str]:
     )
     used: set[str] = set()
     for f in corpus:
-        used |= references(ast.parse(f.read_text(encoding="utf-8"), str(f)))
+        used |= text_references(f.read_text(encoding="utf-8"), str(f))
     return [name for _, name in defs if name not in used]
 
 

@@ -803,7 +803,7 @@ def reference_lemma_chain(ctx, fp):
     got = star_centre(ctx, fp, ctx.sc_code[pn_lid])
     if got is not None and kind is not None:
         # the collapse map fixes the lines inside H and twins the others
-        expected = pn_lid if kind == "identity" or ctx.pn_in_H else ctx.p_lower[ctx.n - 1]
+        expected = pn_lid if kind == "identity" or ctx.pn_in_H else ctx.line_id[1 << (ctx.n - 1)]
         g1_pn_ok = got == expected
         if not g1_pn_ok:
             g1_pn_witness = {"image": ctx.lines[got].inline_text()}
@@ -888,7 +888,25 @@ def test_g1_of_last_axis_complement_for_h(ctx4):
 
     pn = ctx4.p_upper[ctx4.n - 1]
     got = _common_line(ctx4, (ctx4.h_gid[v] for v in ctx4.sc_code[pn]))
-    assert got == ctx4.p_lower[ctx4.n - 1]
+    assert got == ctx4.line_id[1 << (ctx4.n - 1)]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_g1_pn_fails_with_an_image_witness_when_pn_in_H_is_flipped(n):
+    # fault: a fresh context (not the cached one) that misreads whether
+    # P^n lies in H, so the chain expects the wrong line for the image of
+    # the star through P^n under the collapse map
+    ctx = verify.LemmaContext(n)
+    truly_in_H = ctx.pn_in_H
+    ctx.pn_in_H = not truly_in_H
+    # the collapse map fixes P^n inside H and sends it to e_n otherwise
+    image = ctx.p_upper[n - 1] if truly_in_H else ctx.line_id[1 << (n - 1)]
+    report = lemma_chain(ctx, EmbeddingMap(n, ctx.h_gid))
+    assert report["endgame_kind"] == "h"
+    assert report["checks"]["g1_pn"] == {"passed": False, "witness": {"image": ctx.lines[image].inline_text()}}
+    assert [name for name, res in report["checks"].items() if not res["passed"]] == ["g1_pn"]
+    # the identity expects P^n itself whatever the flag says
+    assert lemma_chain(ctx, EmbeddingMap(n, ctx.gid))["checks"]["g1_pn"] == {"passed": True, "witness": None}
 
 
 def test_point_map_invariants(ctx4):
@@ -1011,6 +1029,11 @@ def test_constructive_route_recovers_sampled_group_elements(ctx4):
             assert comp.verdict == "exceptional" and comp.witness == a
 
 
+def test_context_refuses_n_below_4():
+    with pytest.raises(ParameterError, match="ambient dimension >= 4"):
+        verify.LemmaContext(3)
+
+
 def test_certify_rejects_unsupported_n():
     with pytest.raises(ParameterError):
         certify_theorem(6)
@@ -1039,7 +1062,7 @@ def test_n5_constructive_classification():
 def test_n5_partial_run_smoke():
     # the 3072 embeddings the n = 5 search yields before it stalls
     ctx5 = build_context(5)
-    stream = itertools.islice(verify._embeddings(ctx5, ctx5.search_order), 3072)
+    stream = itertools.islice(verify._embeddings(ctx5, _order_for(ctx5, 0)), 3072)
     res = verify._certificate(ctx5, stream, {}, None)
     counts = {key: res[key] for key in ("embeddings_total", "extendable", "exceptional", "unclassified")}
     assert counts == {"embeddings_total": 3072, "extendable": 1536, "exceptional": 1536, "unclassified": 0}
@@ -1121,7 +1144,7 @@ ROOT_BRANCH = 2304
 
 def root_branch(ctx):
     """Image tuples of the stream's first ROOT_BRANCH embeddings."""
-    return itertools.islice(verify._embeddings(ctx, ctx.search_order), ROOT_BRANCH)
+    return itertools.islice(verify._embeddings(ctx, _order_for(ctx, 0)), ROOT_BRANCH)
 
 
 def run_root_branch(ctx):
