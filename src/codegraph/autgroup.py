@@ -17,8 +17,8 @@ from math import factorial
 from typing import Iterator
 
 from .errors import ParameterError
-from .fqlinalg import Subspace, Vector, check_space, from_bits, nullspace, rank_bits, rref_bits
-from .grassmann import CodeGraph, SearchPlan, backtrack, greedy_order
+from .fqlinalg import Subspace, Vector, from_bits, nullspace, rank_bits, rref_bits
+from .grassmann import CodeGraph, SearchPlan, backtrack, check_grassmann, greedy_order
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,7 @@ def grassmann_aut_group(n: int, k: int, q: int) -> GroupHandle:
     """The generated automorphism group of the full Grassmann graph:
     invertible matrices modulo scalars, doubled by the orthocomplement
     exactly when n = 2k."""
-    check_space(n, q)
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    check_grassmann(n, k, q)
     with_dual = n == 2 * k
     kind = "PGL with orthocomplement" if with_dual else "PGL"
     return GroupHandle(f"{kind}({n},{q})", order_gl(n, q) // (q - 1) * (2 if with_dual else 1))
@@ -140,9 +138,7 @@ def grassmann_aut_group(n: int, k: int, q: int) -> GroupHandle:
 
 def code_graph_aut_group(n: int, k: int, q: int) -> GroupHandle:
     """Monomial matrices modulo scalars acting on the code graph."""
-    check_space(n, q)
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    check_grassmann(n, k, q)
     return GroupHandle(f"monomial({n},{q})", factorial(n) * (q - 1) ** (n - 1))
 
 

@@ -95,11 +95,16 @@ def build_graph(n: int, k: int, q: int, kind: str = KIND_FULL) -> CodeGraph:
     return _build_graph(n, k, q, kind)
 
 
-@lru_cache(maxsize=None)
-def _build_graph(n: int, k: int, q: int, kind: str) -> CodeGraph:
+def check_grassmann(n: int, k: int, q: int) -> None:
+    """ParameterError unless ``check_space(n, q)`` passes and 1 <= k <= n - 1."""
     check_space(n, q)
     if not 1 <= k <= n - 1:
         raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+
+
+@lru_cache(maxsize=None)
+def _build_graph(n: int, k: int, q: int, kind: str) -> CodeGraph:
+    check_grassmann(n, k, q)
     if kind not in (KIND_FULL, KIND_NONDEGENERATE):
         raise ParameterError(f"unknown graph kind {kind!r}")
     if kind == KIND_FULL:
@@ -237,10 +242,10 @@ class SearchPlan:
     order: its index in a search's snapshot at depth d + 1.  Every depth
     is built when the plan is made, and every search with the plan reads
     the same lists; with ``order=None`` the search picks as it goes
-    (``_fail_first``) and both are empty.  The plan belongs to its
-    caller: its lists live exactly as long as the caller keeps it.  Its
-    fields cannot be reassigned, so lists built for one order or mode
-    never serve another.
+    (``_fail_first``), both are empty, and ``induced`` is refused.  The
+    plan belongs to its caller: its lists live exactly as long as the
+    caller keeps it.  Its fields cannot be reassigned, so lists built
+    for one order or mode never serve another.
     """
 
     src_adj: tuple[int, ...]
@@ -250,6 +255,8 @@ class SearchPlan:
     apart: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.order is None and self.induced:
+            raise ValueError("a dynamic plan (order=None) searches plain maps only")
         # a copy, so the caller's list cannot change under the built lists
         order = None if self.order is None else tuple(self.order)
         # 0 .. nv-1 once, so every list shares these int objects
@@ -290,8 +297,8 @@ def backtrack(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) ->
     narrowing along the path.  The last vertex has no later vertex, so
     its candidates are yielded straight from its domain.
 
-    A dynamic plan (``order=None``) runs ``_fail_first``: the same maps,
-    in its own order.
+    A dynamic plan (``order=None``, plain only) runs ``_fail_first``: the
+    same maps, in its own order.
     """
     if plan.order is None:
         yield from _fail_first(plan, tgt_adj, domains)
@@ -368,12 +375,11 @@ def _fail_first(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) 
     id.  A node on the stack holds its untried candidates, a
     vertex-indexed snapshot of the domains, the targets used above it,
     its vertex v and the vertices still unplaced after v, in id order.
-    One pass over those narrows the neighbours of v (and, when induced,
-    the non-neighbours, read off ``src_adj``) and counts free candidates
-    up to the pick; a narrowed or counted domain with none kills the
-    branch.
+    One pass over those narrows the neighbours of v, read off
+    ``src_adj``, and counts free candidates up to the pick; a narrowed or
+    counted domain with none kills the branch.
     """
-    src_adj, induced = plan.src_adj, plan.induced
+    src_adj = plan.src_adj
     mapping = [0] * len(src_adj)
     many = max(dom.bit_length() for dom in domains) + 1  # above any count
     stack: list = []
@@ -404,14 +410,11 @@ def _fail_first(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) 
         u |= b
         free, child, row = ~u, dom[:], src_adj[v]
         adj_c = tgt_adj[c]
-        far, best, least = ~adj_c, -1, many
+        best, least = -1, many
         for w in rest:
             x = child[w]
             if (row >> w) & 1:
                 x &= adj_c
-                child[w] = x
-            elif induced:
-                x &= far
                 child[w] = x
             elif least < 2:
                 continue

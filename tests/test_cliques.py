@@ -13,7 +13,15 @@ from codegraph.cliques import (
     star_criterion,
     top,
 )
-from codegraph.fqlinalg import enumerate_subspaces, intersect, rref, standard_basis_vector, subspace_sum
+from codegraph.fqlinalg import (
+    enumerate_subspaces,
+    full_space,
+    intersect,
+    rref,
+    standard_basis_vector,
+    subspace_sum,
+    zero_subspace,
+)
 from codegraph.grassmann import KIND_FULL, KIND_NONDEGENERATE, build_graph, is_nondegenerate, iter_edges
 from codegraph.hmap import p_copoint, p_point, special_frame
 
@@ -273,3 +281,15 @@ def test_maximal_cliques_against_full_scan(n, k, q, kind):
     g = build_graph(n, k, q, kind)
     found = enumerate_maximal_cliques(g)
     assert found == [reference_classify(g, c.vertices) for c in found]
+
+
+@pytest.mark.parametrize(
+    "call, x, message",
+    [
+        pytest.param(star, full_space(4), "star of the full space is empty", id="star"),
+        pytest.param(top, zero_subspace(4), "top of the zero space is empty", id="top"),
+    ],
+)
+def test_empty_families_are_refused(call, x, message):
+    with pytest.raises(ValueError, match=message):
+        call(x)

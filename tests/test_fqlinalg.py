@@ -16,6 +16,7 @@ from codegraph.fqlinalg import (
     nullspace,
     parse_subspace,
     parse_subspace_blocks,
+    parse_vector,
     rank_bits,
     reduce_bits,
     rref,
@@ -294,3 +295,33 @@ def test_enumerate_call_forms_share_one_cache_entry():
     subs = enumerate_subspaces(4, 2, 2)
     assert enumerate_subspaces(n=4, k=2, q=2) is subs
     assert enumerate_subspaces(4, k=2, q=2) is subs
+
+
+@pytest.mark.parametrize(
+    "call, args, error, message",
+    [
+        pytest.param(parse_vector, ("0120", 2), ValueError, "bad coordinate '2' for F_2", id="parse_vector"),
+        pytest.param(
+            standard_basis_vector, (5, 4), ParameterError, r"basis index 5 out of range 1\.\.4", id="basis_index"
+        ),
+        pytest.param(
+            Subspace.contains_vector,
+            (full_space(4), (1, 0, 1)),
+            ValueError,
+            "vector width differs from ambient dimension",
+            id="contains_vector",
+        ),
+        pytest.param(
+            Subspace.contains, (full_space(4), full_space(3)), ValueError, "mismatched ambient spaces", id="contains"
+        ),
+        pytest.param(
+            subspace_sum, (full_space(4), zero_subspace(4, 3)), ValueError, "mismatched ambient spaces", id="sum"
+        ),
+        pytest.param(intersect, (full_space(4), full_space(5)), ValueError, "mismatched ambient spaces", id="intersect"),
+        pytest.param(rref, ([],), ValueError, "ambient dimension required for an empty span", id="empty_rref"),
+        pytest.param(enumerate_subspaces, (4, 5, 2), ParameterError, "need 0 <= k <= n, got k=5, n=4", id="k_range"),
+    ],
+)
+def test_malformed_input_is_refused(call, args, error, message):
+    with pytest.raises(error, match=message):
+        call(*args)

@@ -254,7 +254,8 @@ def test_backtrack_matches_brute_force_on_random_graphs():
         domains[rng.randrange(ns)] = rng.getrandbits(nt)
         for induced in (False, True):
             want = brute_force_maps(src, tgt, domains, induced)
-            for plan_order in (order, None):
+            # a dynamic plan is plain only
+            for plan_order in (order, None) if not induced else (order,):
                 maps = list(backtrack(SearchPlan(src, plan_order, induced), tgt, domains))
                 assert len(set(maps)) == len(maps)
                 assert set(maps) == want
@@ -353,9 +354,10 @@ def test_backtrack_matches_the_reference_kernel(ns):
         for induced in (False, True):
             want = list(reference_backtrack(src, tgt, order, domains, induced))
             assert list(backtrack(SearchPlan(src, order, induced), tgt, domains)) == want
-            # the dynamic order yields the same maps, each once, in its own order
-            maps = list(backtrack(SearchPlan(src, None, induced), tgt, domains))
-            assert len(set(maps)) == len(maps) and set(maps) == set(want)
+            if not induced:
+                # the dynamic order yields the same maps, each once, in its own order
+                maps = list(backtrack(SearchPlan(src, None), tgt, domains))
+                assert len(set(maps)) == len(maps) and set(maps) == set(want)
 
 
 @pytest.mark.parametrize("ns", range(1, 8))
@@ -366,22 +368,8 @@ def test_backtrack_with_an_empty_last_domain_yields_nothing(ns):
         domains[order[-1]] = 0
         for induced in (False, True):
             assert list(reference_backtrack(src, tgt, order, domains, induced)) == []
-            for plan_order in (order, None):
-                assert list(backtrack(SearchPlan(src, plan_order, induced), tgt, domains)) == []
-
-
-def test_fail_first_counts_pinned_automorphisms():
-    # the shape of the chain's orbit searches and of the group fields: the
-    # graph into itself, induced, with some vertices pinned to one target
-    rng = random.Random(6)
-    for _ in range(40):
-        nv = rng.randint(2, 7)
-        adj = random_adj(rng, nv, rng.uniform(0.2, 0.8))
-        domains = [(1 << nv) - 1] * nv
-        for v in rng.sample(range(nv), rng.randint(1, nv - 1)):
-            domains[v] = 1 << rng.randrange(nv)
-        maps = list(backtrack(SearchPlan(adj, None, induced=True), adj, domains))
-        assert len(set(maps)) == len(maps) and set(maps) == brute_force_maps(adj, adj, domains, True)
+            assert list(backtrack(SearchPlan(src, order, induced), tgt, domains)) == []
+        assert list(backtrack(SearchPlan(src, None), tgt, domains)) == []
 
 
 class Reads(tuple):
@@ -397,14 +385,13 @@ class Reads(tuple):
         return super().__getitem__(i)
 
 
-def check_forward_checking(src, tgt, domains, induced, tries):
+def check_forward_checking(src, tgt, domains, tries):
     """Replay the (vertex, target) tries of a dynamic search.  Vertices on
     a search path are distinct, so a try of a vertex already on the path
     backs up to it.  Every try must respect the path above it, and the
     path's last assignment must have left each of its unplaced
-    neighbours (with ``induced``, each unplaced vertex) a free candidate:
-    a branch dies on a domain with none, whatever order the vertices are
-    picked in."""
+    neighbours a free candidate: a branch dies on a domain with none,
+    whatever order the vertices are picked in."""
     path: list[tuple[int, int]] = []
     for v, c in tries:
         while v in dict(path):
@@ -416,15 +403,13 @@ def check_forward_checking(src, tgt, domains, induced, tries):
             for p, t in placed.items():
                 if (src[w] >> p) & 1:
                     dom &= tgt[t]
-                elif induced:
-                    dom &= ~tgt[t]
             return dom & ~sum(1 << t for t in used)
 
         assert (narrowed(v) >> c) & 1
         if path:
             last = path[-1][0]
             for w in range(len(src)):
-                if w not in placed and (induced or (src[last] >> w) & 1):
+                if w not in placed and (src[last] >> w) & 1:
                     assert narrowed(w), (path, w)
         path.append((v, c))
 
@@ -437,14 +422,12 @@ def test_fail_first_keeps_the_forward_checking_contract():
     checked = 0
     for _ in range(60):
         src, tgt, _, domains = random_search(rng, rng.randint(2, 7), 8)
-        for induced in (False, True):
-            vs, cs = [], []
-            plan = SearchPlan(Reads(src, vs), None, induced)
-            maps = list(backtrack(plan, Reads(tgt, cs), domains))
-            assert set(maps) == brute_force_maps(src, tgt, domains, induced)
-            assert len(vs) == len(cs)
-            check_forward_checking(src, tgt, domains, induced, zip(vs, cs))
-            checked += len(vs)
+        vs, cs = [], []
+        maps = list(backtrack(SearchPlan(Reads(src, vs), None), Reads(tgt, cs), domains))
+        assert set(maps) == brute_force_maps(src, tgt, domains, False)
+        assert len(vs) == len(cs)
+        check_forward_checking(src, tgt, domains, zip(vs, cs))
+        checked += len(vs)
     assert checked > 1000
 
 
@@ -510,9 +493,15 @@ def test_plan_fields_cannot_be_reassigned():
 
 def test_a_dynamic_plan_builds_no_lists():
     # the search picks its order as it goes, so there are no depths to build
-    for induced in (False, True):
-        plan = SearchPlan((0b110, 0b101, 0b011), None, induced)
-        assert plan.order is None and plan.later == plan.apart == ()
+    plan = SearchPlan((0b110, 0b101, 0b011), None)
+    assert plan.order is None and plan.later == plan.apart == ()
+
+
+def test_a_dynamic_plan_refuses_induced_mode():
+    # the fail-first search narrows neighbours only, so an induced
+    # dynamic plan would silently yield non-induced maps
+    with pytest.raises(ValueError, match="plain maps only"):
+        SearchPlan((0b110, 0b101, 0b011), None, induced=True)
 
 
 def test_mask_ids_lists_the_set_bits_in_increasing_order():

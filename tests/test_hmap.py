@@ -182,3 +182,34 @@ def test_verify_h_4_to_5():
 def test_verify_h_rejects_small_n():
     with pytest.raises(ParameterError):
         verify_h(3)
+
+
+@pytest.mark.parametrize(
+    "call, args, error, message",
+    [
+        pytest.param(p_point, ({5}, 4), ParameterError, r"support \[5\] out of range 1\.\.4", id="p_point"),
+        pytest.param(line_support, (rref([(1, 0, 0, 0), (0, 1, 0, 0)]),), ValueError, "expected a line", id="line_support"),
+        pytest.param(special_frame, (1,), ParameterError, "at least 2", id="special_frame"),
+        pytest.param(
+            abc_partition,
+            (build_graph(4, 2, 2),),
+            ParameterError,
+            "partition is defined on the non-degenerate graph",
+            id="abc_partition",
+        ),
+        pytest.param(
+            in_c_class, (p_point({1}, 4),), ParameterError, "class membership is defined", id="c_decomposition"
+        ),
+        pytest.param(h_map, (p_point({1}, 4),), ParameterError, "the map is defined", id="h_map"),
+        pytest.param(
+            projective_morphism,
+            (rref([(1, 0, 0, 0), (0, 1, 0, 0)]),),
+            ParameterError,
+            "expected a line over F_2",
+            id="projective_morphism",
+        ),
+    ],
+)
+def test_malformed_input_is_refused(call, args, error, message):
+    with pytest.raises(error, match=message):
+        call(*args)

@@ -19,7 +19,7 @@ from codegraph.autgroup import (
     vertex_permutation,
 )
 from codegraph.fqlinalg import from_bits, rank_bits, rref, rref_bits, vec_to_bits
-from codegraph.grassmann import SearchPlan, backtrack, mask_ids
+from codegraph.grassmann import SearchPlan, backtrack, greedy_order, mask_ids
 from codegraph.hmap import abc_partition, h_map, line_support, p_copoint, special_frame
 from codegraph.verify import (
     EmbeddingMap,
@@ -939,6 +939,14 @@ def test_classify_h_and_identity(ctx4):
     assert recheck_witness(ctx4, id_emb)
 
 
+@pytest.mark.parametrize("witness", ["none", "swap"])
+def test_recheck_witness_rejects_a_missing_or_wrong_witness(ctx4, witness):
+    # the identity embedding with no witness, or with a swap of two
+    # coordinates, which moves some of its images
+    a = None if witness == "none" else swap_automorphism(4, 1, 2)
+    assert not recheck_witness(ctx4, EmbeddingMap(4, ctx4.gid, "extendable", a))
+
+
 def test_classify_restriction_recovers_the_automorphism(ctx4):
     for a in (swap_automorphism(4, 1, 2), swap_automorphism(4, 2, 4)):
         emb = classify(ctx4, EmbeddingMap(4, restriction_images(ctx4, a)))
@@ -974,7 +982,17 @@ def test_group_scan_rejects_a_collapse_map_that_is_a_restriction(monkeypatch):
     # fault: the collapse map is replaced by the restriction of a swap
     ctx = verify.LemmaContext(4)
     monkeypatch.setattr(ctx, "h_gid", restriction_images(ctx, swap_automorphism(4, 1, 2)))
-    with pytest.raises(Falsified, match="coincides"):
+    with pytest.raises(Falsified, match="no non-edge became an edge"):
+        verify.group_fields(ctx)
+
+
+@pytest.mark.parametrize("name", ["gid", "h_gid"])
+def test_group_fields_reject_pins_that_leave_two_planes_alike(monkeypatch, name):
+    # fault: only three planes are pinned, so unpinned planes share their
+    # neighbours among them and the stabilizer check cannot prove K trivial
+    ctx = verify.LemmaContext(4)
+    monkeypatch.setattr(ctx, name, getattr(ctx, name)[:3])
+    with pytest.raises(Falsified, match=rf"planes \S+ and \S+ have the same neighbours among the {name} planes"):
         verify.group_fields(ctx)
 
 
@@ -998,13 +1016,44 @@ def test_group_fields_match_explicit_sets(ctx4, group_images):
     assert fields["group_order"] == 40320
 
 
-def test_group_fields_searches_share_two_plans(plan_builds):
-    # one plan for the chain's orbit searches, one for the three searches
-    # with gid and h_gid pinned
+def test_group_fields_build_one_plan_the_chains(plan_builds):
+    # the chain's orbit searches are the only searches; the stabilizer and
+    # pair checks run none
     ctx = build_context(5)
     assert verify.group_fields(ctx)["group_order"] == 9999360
-    assert len(plan_builds.plans) == 2
-    assert plan_builds.searches > 4
+    assert len(plan_builds.plans) == 1
+    assert plan_builds.searches > 1
+
+
+def reference_group_searches(ctx):
+    """|K|, |K_h| and the number of automorphisms sending gid to h_gid, by
+    induced search on the full graph with the images pinned: each map is
+    a bijection keeping adjacency and non-adjacency, so an automorphism."""
+    adj = ctx.full.adj
+    plan = SearchPlan(adj, greedy_order(adj), induced=True)
+
+    def count(src, dst):
+        domains = [(1 << len(adj)) - 1] * len(adj)
+        for s, t in zip(src, dst):
+            domains[s] = 1 << t
+        return sum(1 for _ in backtrack(plan, adj, domains))
+
+    return count(ctx.gid, ctx.gid), count(ctx.h_gid, ctx.h_gid), count(ctx.gid, ctx.h_gid)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_group_fields_agree_with_the_reference_searches(n):
+    ctx = build_context(n)
+    fix, fix_h, crossing = reference_group_searches(ctx)
+    assert (fix, fix_h, crossing) == (1, 1, 0)
+    fields = verify.group_fields(ctx)
+    order = fields["group_order"]
+    assert fields == {
+        "group_order": order,
+        "distinct_restrictions": order // fix,
+        "distinct_exceptional_images": order // fix_h,
+        "exceptional_witness_unique": fix_h == 1,
+    }
 
 
 def test_group_fields_past_n4():
