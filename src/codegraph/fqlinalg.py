@@ -359,8 +359,7 @@ def enumerate_subspaces(n: int, k: int, q: int) -> tuple[Subspace, ...]:
 @lru_cache(maxsize=None)
 def _enumerate_subspaces(n: int, k: int, q: int) -> tuple[Subspace, ...]:
     check_space(n, q)
-    if not 0 <= k <= n:
-        raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
+    # gaussian_binomial refuses a k outside 0..n
     if gaussian_binomial(n, k, q) > MAX_LISTING:
         raise ParameterError(f"enumeration of {n},{k} subspaces over F_{q} exceeds the desk-scale cap")
     out = []

@@ -372,50 +372,71 @@ def _fail_first(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) 
     """``backtrack`` in a dynamic order (fail-first, Haralick & Elliott
     1980): each node takes the first unplaced vertex, by id, with at most
     one free candidate, else the one with the fewest, ties to the smaller
-    id.  A node on the stack holds its untried candidates, a
-    vertex-indexed snapshot of the domains, the targets used above it,
-    its vertex v and the vertices still unplaced after v, in id order.
-    One pass over those narrows the neighbours of v, read off
-    ``src_adj``, and counts free candidates up to the pick; a narrowed or
-    counted domain with none kills the branch.
+    id.  The search works on one vertex-indexed list of the domains and
+    one list of the unplaced vertices, in id order.  Assigning v to c
+    makes one pass over the unplaced vertices: it narrows the neighbours
+    of v, read off ``src_adj``, and counts free candidates up to the
+    pick; a narrowed or counted domain with none kills the branch.
+
+    A pick with one free candidate is a forced step: it is assigned, and
+    its pass narrows the working lists in place.  The last unplaced
+    vertex yields each of its free candidates.  Any other pick, with two
+    or more, is a choice point: it goes on the stack with its untried
+    candidates, the targets used above it, and the working lists, which
+    it now owns.  Each of its branches starts from a fresh copy of them.
+    A dead end or an exhausted last vertex returns to the top choice
+    point with an untried candidate.  So the search holds one snapshot
+    per open choice point, not one per node: a forced path of any length
+    costs no copies.
     """
     src_adj = plan.src_adj
     mapping = [0] * len(src_adj)
     many = max(dom.bit_length() for dom in domains) + 1  # above any count
     stack: list = []
-    # the node to open next: its domains, used targets, unplaced vertices
-    # and pick, which has ``least`` free candidates (none: a dead node);
-    # the root takes the fewest, as a vertex with none ends it either way
+    # the working lists, the used targets and the pick, which has
+    # ``least`` free candidates (none: a dead end); the root takes the
+    # fewest, as a vertex with none ends it either way
     best = min(range(len(src_adj)), key=lambda w: (domains[w].bit_count(), w))
-    child, u, rest, least = list(domains), 0, list(range(len(src_adj))), domains[best].bit_count()
+    work, u, rest, least = list(domains), 0, list(range(len(src_adj))), domains[best].bit_count()
     while True:
-        if least:
-            rest = rest[:]
-            rest.remove(best)
-            stack.append([child[best] & ~u, child, u, best, rest])
-            least = 0
-        if not stack:
-            return
-        top = stack[-1]
-        m, dom, u, v, rest = top
-        if not m:
-            stack.pop()
-            continue
-        b = m & -m
-        top[0] = m ^ b
+        if least == 1 and len(rest) > 1:
+            # a forced step: its pass below narrows the lists in place
+            v = best
+            rest.remove(v)
+            b = work[v] & ~u
+        else:
+            if least:
+                rest.remove(best)
+                m = work[best] & ~u
+                if rest:
+                    # a choice point takes the working lists
+                    stack.append([m, work, u, best, rest])
+                else:
+                    while m:
+                        b = m & -m
+                        m ^= b
+                        mapping[best] = b.bit_length() - 1
+                        yield tuple(mapping)
+            # back to the top choice point with an untried candidate
+            while stack and not stack[-1][0]:
+                stack.pop()
+            if not stack:
+                return
+            top = stack[-1]
+            m, work, u, v, rest = top
+            b = m & -m
+            top[0] = m ^ b
+            work, rest = work[:], rest[:]
         mapping[v] = c = b.bit_length() - 1
-        if not rest:
-            yield tuple(mapping)
-            continue
         u |= b
-        free, child, row = ~u, dom[:], src_adj[v]
+        free, row = ~u, src_adj[v]
         adj_c = tgt_adj[c]
         best, least = -1, many
         for w in rest:
-            x = child[w]
+            x = work[w]
             if (row >> w) & 1:
                 x &= adj_c
-                child[w] = x
+                work[w] = x
             elif least < 2:
                 continue
             if least > 1:

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 import types
 
 import pytest
@@ -431,6 +432,12 @@ def test_recheck_agrees_with_the_pairwise_reference(n):
             assert is_valid_embedding(ctx, moved) is False
 
 
+def test_stream_builds_its_own_context_when_given_none(ctx4):
+    own = list(itertools.islice(enumerate_embeddings(4), 50))
+    given = list(itertools.islice(enumerate_embeddings(4, ctx=build_context(4)), 50))
+    assert len(own) == 50 and [e.images for e in own] == [e.images for e in given]
+
+
 def test_stream_is_deterministic(ctx4):
     first = list(itertools.islice(enumerate_embeddings(4, ctx=ctx4), 50))
     second = list(itertools.islice(enumerate_embeddings(4, ctx=ctx4), 50))
@@ -460,6 +467,28 @@ def test_frame_narrowed_fail_first_search_finds_the_identity_and_the_collapse(n)
             domains[v] &= through
     found = list(backtrack(SearchPlan(ctx.code.adj, None), ctx.full.adj, domains))
     assert sorted(found) == sorted([ctx.gid, ctx.h_gid])
+
+
+def test_frame_narrowed_fail_first_search_keeps_no_snapshot_per_forced_step():
+    # at n = 7 the search makes (n-1)^2 forced steps on 364 code vertices
+    # before its one choice point; a snapshot of every domain at each of
+    # them peaked at 4.7 MiB, one snapshot per choice point at 0.3 MiB
+    ctx = build_context(7)
+    domains = [(1 << ctx.full.nv) - 1] * ctx.nc
+    for lid in ctx.frame_lids:
+        through = sum(1 << c for c, lines in enumerate(ctx.vline_mask) if (lines >> lid) & 1)
+        for v in ctx.sc_code[lid]:
+            domains[v] &= through
+    plan = SearchPlan(ctx.code.adj, None)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        found = list(backtrack(plan, ctx.full.adj, domains))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(found) == sorted([ctx.gid, ctx.h_gid])
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_wall_ms_covers_certification_only(ctx4, monkeypatch, bound_stream):
