@@ -298,8 +298,12 @@ def backtrack(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) ->
     its candidates are yielded straight from its domain.
 
     A dynamic plan (``order=None``, plain only) runs ``_fail_first``: the
-    same maps, in its own order.
+    same maps, in its own order.  An empty source graph has one map, the
+    empty one, in either plan.
     """
+    if not plan.src_adj:
+        yield ()
+        return
     if plan.order is None:
         yield from _fail_first(plan, tgt_adj, domains)
         return

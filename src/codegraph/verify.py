@@ -21,7 +21,7 @@ from itertools import combinations, count
 from typing import Iterable, Iterator, Optional
 
 from .errors import Falsified, ParameterError
-from .fqlinalg import Subspace, enumerate_subspaces, gaussian_binomial, rank_bits, reduce_bits, rref_bits
+from .fqlinalg import Subspace, bits_to_vec, from_bits, gaussian_binomial, rank_bits, reduce_bits, rref_bits, vector_text
 from . import hmap
 from .grassmann import KIND_FULL, KIND_NONDEGENERATE, SearchPlan, backtrack, build_graph, greedy_order, mask_ids
 from .autgroup import (
@@ -69,6 +69,11 @@ def _span_walk(vectors: Iterable[int]) -> list[int]:
     return out
 
 
+def _axes(I: int) -> list[int]:
+    """The axes 1..n-1 of the subset with indicator vector I, in order."""
+    return [i + 1 for i in mask_ids(I)]
+
+
 @dataclass
 class _STarget:
     bits: tuple[int, ...]
@@ -81,13 +86,16 @@ class LemmaContext:
 
     Everything an embedding check needs is resolved to integer tables
     here once, so the per-embedding work is plain bitmask arithmetic.
-    Both incidence questions are read off the planes' line masks
-    ``vline_mask``: two distinct planes are adjacent iff they share a
-    line, and a plane lies in a subspace iff its three lines do.  The
-    code planes' full ids ``gid``, the S_I member sets, the collapse-map
-    images ``h_gid`` and the code stars ``code_stars`` are read off the
-    line tables, with no scan over all planes and no call of
-    ``hmap.h_map``.
+    A line is indexed by its packed nonzero vector v, 1 <= v < 2^n, and a
+    subset I of {1..n-1} by its indicator vector (bit i - 1 for axis i),
+    which is also the vector that spans the A plane of I with Q.  Both
+    incidence questions are read off the planes' line masks
+    ``vline_mask``, with bit v for each of a plane's three vectors: two
+    distinct planes are adjacent iff they share a line, and a plane lies
+    in a subspace iff its three lines do.  The code planes' full ids
+    ``gid``, the S_I member sets, the collapse-map images ``h_gid`` and
+    the code stars ``code_stars`` are read off the line tables, with no
+    scan over all planes and no call of ``hmap.h_map``.
 
     Proof obligations, checked as the tables are built (Falsified when
     one fails):
@@ -113,7 +121,7 @@ class LemmaContext:
       has that indicator as its one vector other than Q that misses
       coordinate n, so distinct I give distinct planes, one for each
       plane through Q.  The planes ``plane_of_vecs`` gives for Q and
-      the indicators must be exactly the code planes through Q.
+      the subsets must be exactly the code planes through Q.
     - At n = 4 the orthocomplement ``orth_perm`` is an automorphism: an
       involution that sends every adjacency row onto its image's row.
     """
@@ -128,23 +136,19 @@ class LemmaContext:
 
         self.full_bits: tuple[tuple[int, ...], ...] = tuple(x.bits for x in self.full.vertices)
 
-        # lines, their ids, and the 3-line mask of every plane
-        self.lines = enumerate_subspaces(n, 1, 2)
-        self.nlines = len(self.lines)
-        self.line_bits = tuple(p.bits[0] for p in self.lines)
-        self.line_id = {b: i for i, b in enumerate(self.line_bits)}
+        # the 3-line mask of every plane, and the plane spanned by two
+        # vectors, at plane_of_vecs[v << n | w]; two distinct nonzero
+        # vectors span exactly one plane, so only the pairs with a zero or
+        # a repeat keep the -1 filler
         vmask = []
-        # the plane spanned by two vectors, at plane_of_vecs[v << n | w];
-        # two distinct nonzero vectors span exactly one plane, so only the
-        # pairs with a zero or a repeat keep the -1 filler
         pv = self.plane_of_vecs = [-1] * (1 << 2 * n)
         for vid, (r1, r2) in enumerate(self.full_bits):
             r3 = r1 ^ r2
-            vmask.append((1 << self.line_id[r1]) | (1 << self.line_id[r2]) | (1 << self.line_id[r3]))
+            vmask.append(1 << r1 | 1 << r2 | 1 << r3)
             for x, y in ((r1, r2), (r1, r3), (r2, r3)):
                 pv[x << n | y] = pv[y << n | x] = vid
         self.vline_mask = tuple(vmask)
-        self.all_lines_mask = (1 << self.nlines) - 1
+        self.all_lines_mask = (1 << (1 << n)) - 2
 
         # each code plane's full id, and the inverse list (-1 off the code)
         self.gid: tuple[int, ...] = tuple(pv[x.bits[0] << n | x.bits[1]] for x in self.code.vertices)
@@ -152,38 +156,31 @@ class LemmaContext:
         for vid, g in enumerate(self.gid):
             code_of_full[g] = vid
 
+        # Q is the all-ones vector, P^i the complement of axis i, and the
+        # twin of a proper line v is ones ^ v
         ones = (1 << n) - 1
-        self.q_lid = self.line_id[ones]
-        # P^i = complement of {i}
-        self.p_upper = tuple(self.line_id[ones ^ (1 << (i - 1))] for i in range(1, n + 1))
+        self.p_upper = tuple(ones ^ (1 << i) for i in range(n))
         # the frame Q, P^1..P^(n-1), whose last n - 1 lines span H
-        self.frame_lids = (self.q_lid,) + self.p_upper[:-1]
-        self.frame_dst = tuple(self.line_bits[lid] for lid in self.frame_lids)
-        self.pn_in_H = rank_bits(self.frame_dst[1:] + (self.line_bits[self.p_upper[-1]],)) == n - 1
+        self.frame_lids = (ones,) + self.p_upper[:-1]
+        self.pn_in_H = rank_bits(self.frame_lids[1:] + self.p_upper[-1:]) == n - 1
 
         # the span walk over the frame; frame_unit[t] is the s whose sum is
         # the t-th basis vector (index raises unless the frame spans)
-        span = _span_walk(self.frame_dst)
+        span = _span_walk(self.frame_lids)
         self.frame_span = tuple(span)
         self.frame_unit = tuple(span.index(1 << t) for t in range(n))
 
-        # supports and complement twins of proper lines
-        self.twin = {}
-        for lid, b in enumerate(self.line_bits):
-            if b != ones:
-                self.twin[lid] = self.line_id[ones ^ b]
+        # the lines of support >= 3, in the order of their coordinate tuples
         self.gprime_lids = tuple(
-            lid
-            for lid, b in enumerate(self.line_bits)
-            if b.bit_count() >= 3
+            sorted((v for v in range(1, 1 << n) if v.bit_count() >= 3), key=lambda v: bits_to_vec(v, n))
         )
 
         # code vertices through each line
-        sc: list[list[int]] = [[] for _ in range(self.nlines)]
+        sc: list[list[int]] = [[] for _ in range(1 << n)]
         for vid, x in enumerate(self.code.vertices):
             r1, r2 = x.bits
             for b in (r1, r2, r1 ^ r2):
-                sc[self.line_id[b]].append(vid)
+                sc[b].append(vid)
         self.sc_code = tuple(tuple(v) for v in sc)
         # the stars with an edge inside (the third proof obligation above)
         self.code_stars = tuple(s for s in self.sc_code if len(s) > 1)
@@ -192,50 +189,39 @@ class LemmaContext:
             raise Falsified(f"the code stars hold {pairs} pairs, not the {self.code.edge_count} code edges")
 
         # the A class (the codes through Q); the A plane of I is spanned by
-        # Q and the indicator vector of I (the fourth proof obligation)
-        self.all_A_vids = self.sc_code[self.q_lid]
-        self.subsets = [
-            frozenset(c)
-            for size in range(1, n)
-            for c in combinations(range(1, n), size)
-        ]
-        a_planes = {I: pv[ones << n | hmap.p_point(I, n).bits[0]] for I in self.subsets}
-        if sorted(a_planes.values()) != sorted(self.gid[v] for v in self.all_A_vids):
+        # Q and I (the fourth proof obligation); subsets go by size, then
+        # lexicographically
+        self.all_A_vids = self.sc_code[ones]
+        self.subsets = [sum(1 << i for i in c) for size in range(1, n) for c in combinations(range(n - 1), size)]
+        a_planes = [pv[ones << n | I] for I in self.subsets]
+        if sorted(a_planes) != sorted(self.gid[v] for v in self.all_A_vids):
             raise Falsified("the planes spanned by Q and the indicator vectors are not the A class")
-        self.A_vids = {I: code_of_full[p] for I, p in a_planes.items()}
-        self.a_singleton = tuple(self.A_vids[frozenset({i})] for i in range(1, n))
+        self.A_vids: list[int] = [-1] * (1 << n - 1)  # indexed by I; the empty subset has no A plane
+        for I, p in zip(self.subsets, a_planes):
+            self.A_vids[I] = code_of_full[p]
+        self.a_singleton = tuple(self.A_vids[1 << i] for i in range(n - 1))
         self.b_pair_vids = {
-            (i, j): code_of_full[pv[(ones ^ (1 << (i - 1))) << n | (ones ^ (1 << (j - 1)))]]
+            (i, j): code_of_full[pv[self.p_upper[i - 1] << n | self.p_upper[j - 1]]]
             for i, j in combinations(range(1, n), 2)
         }
 
         # expected spans S_I = Q + sum of the chosen axes; the planes
         # inside S_I are the planes spanned by pairs of its vectors, and
         # its line mask holds the lines of its nonzero vectors
-        self.S_expected: dict[frozenset[int], _STarget] = {}
+        self.S_expected: list[Optional[_STarget]] = [None] * (1 << n - 1)  # indexed by I, as A_vids
         for I in self.subsets:
-            red = rref_bits([ones] + [1 << (i - 1) for i in I])
+            red = rref_bits([ones] + [1 << i for i in mask_ids(I)])
             vecs = _span_walk(red)[1:]
             members = {pv[a << n | b] for x, a in enumerate(vecs) for b in vecs[x + 1:]}
-            want = gaussian_binomial(len(I) + 1, 2, 2)
+            want = gaussian_binomial(I.bit_count() + 1, 2, 2)
             if len(members) != want:
-                raise Falsified(f"S_{sorted(I)} holds {len(members)} planes, not {want}")
+                raise Falsified(f"S_{_axes(I)} holds {len(members)} planes, not {want}")
             code_members = tuple(sorted(code_of_full[p] for p in members if code_of_full[p] >= 0))
-            line_mask = sum(1 << self.line_id[v] for v in vecs)
-            self.S_expected[I] = _STarget(red, line_mask, code_members)
-        self.three_subsets = [I for I in self.subsets if len(I) == 3]
-        # each I's span is its prefix's span (I without its largest axis,
-        # listed earlier since subsets go by size) extended by one plane:
-        # (position of the prefix, -1 for a single axis; that plane's vid)
-        position = {I: k for k, I in enumerate(self.subsets)}
-        self.subset_steps = tuple(
-            (position.get(I - {max(I)}, -1), self.a_singleton[max(I) - 1]) for I in self.subsets
-        )
+            self.S_expected[I] = _STarget(red, sum(1 << v for v in vecs), code_members)
+        self.three_subsets = [I for I in self.subsets if I.bit_count() == 3]
 
         # collapse-map images (the second proof obligation above)
-        vec_img = [0] * (1 << n)
-        for p, b in zip(self.lines, self.line_bits):
-            vec_img[b] = hmap.projective_morphism(p).bits[0]
+        vec_img = [0] + [hmap.projective_morphism(from_bits((v,), n)).bits[0] for v in range(1, 1 << n)]
         h_gid = list(self.gid)
         a_class = set(self.all_A_vids)
         for vid, x in enumerate(self.code.vertices):
@@ -243,7 +229,7 @@ class LemmaContext:
                 continue
             r1, r2 = x.bits
             pid = pv[vec_img[r1] << n | vec_img[r2]]
-            if pid < 0 or not (self.vline_mask[pid] >> self.line_id[vec_img[r1 ^ r2]]) & 1:
+            if pid < 0 or not (self.vline_mask[pid] >> vec_img[r1 ^ r2]) & 1:
                 raise Falsified(f"the point map sends the lines of {x.inline_text()} into no plane")
             h_gid[vid] = pid
         self.h_gid: tuple[int, ...] = tuple(h_gid)
@@ -408,10 +394,11 @@ def is_valid_embedding(ctx: LemmaContext, images: tuple[int, ...]) -> bool:
 # normalization
 
 
-def _common_line(ctx: LemmaContext, vids: Iterator[int]) -> Optional[int]:
-    msk = ctx.all_lines_mask
-    for c in vids:
-        msk &= ctx.vline_mask[c]
+def _common_line(ctx: LemmaContext, images: tuple[int, ...], star: Iterable[int]) -> Optional[int]:
+    """The one line that the images of the code planes ``star`` share, or None."""
+    vline_mask, msk = ctx.vline_mask, ctx.all_lines_mask
+    for v in star:
+        msk &= vline_mask[images[v]]
     return msk.bit_length() - 1 if msk.bit_count() == 1 else None
 
 
@@ -450,7 +437,7 @@ def _normalize_ids(ctx: LemmaContext, images: tuple[int, ...]) -> _Normalization
     # one span walk over the frame images: the normalizing map sends
     # back[s] to ctx.frame_span[s], and a zero at s > 0 means the frame
     # images do not span
-    back = _span_walk(ctx.line_bits[lid] for lid in g1)
+    back = _span_walk(g1)
     if back.count(0) != 1:
         raise Falsified("frame images do not determine an invertible map")
     fwd = [0] * len(back)
@@ -483,10 +470,10 @@ def point_map(ctx: LemmaContext, emb: EmbeddingMap) -> dict[Subspace, Subspace]:
     of support >= 3."""
     assignments: dict[Subspace, Subspace] = {}
     for lid in ctx.gprime_lids:
-        got = _common_line(ctx, (emb.images[v] for v in ctx.sc_code[lid]))
+        got = _common_line(ctx, emb.images, ctx.sc_code[lid])
         if got is None:
             raise Falsified("star image without a unique center")
-        assignments[ctx.lines[lid]] = ctx.lines[got]
+        assignments[from_bits((lid,), ctx.n)] = from_bits((got,), ctx.n)
     return assignments
 
 
@@ -495,12 +482,13 @@ def point_map(ctx: LemmaContext, emb: EmbeddingMap) -> dict[Subspace, Subspace]:
 
 
 def _subset_spans(ctx: LemmaContext, fp: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The reduced span of the images of the planes of I, for each I of
-    ``ctx.subsets`` in turn, each grown from an earlier one."""
-    spans: list[tuple[int, ...]] = []
-    rows = ctx.full_bits
-    for prev, vid in ctx.subset_steps:
-        spans.append(rref_bits(rows[fp[vid]], spans[prev] if prev >= 0 else ()))
+    """The reduced span of the images of the planes of I, indexed by I:
+    as in ``_span_walk``, spans[I] grows spans[I ^ top], for the top bit
+    of I, by the image of that axis's A plane (spans[0] is empty)."""
+    spans: list[tuple[int, ...]] = [()]
+    for v in ctx.a_singleton:
+        rows = ctx.full_bits[fp[v]]
+        spans += [rref_bits(rows, s) for s in spans]
     return spans
 
 
@@ -530,12 +518,13 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
     lemma1_ok = True
     lemma4_ok = True
     eq4_witness = lemma1_witness = lemma4_witness = None
-    for I, actual in zip(ctx.subsets, _subset_spans(ctx, fp)):
-        target = ctx.S_expected[I]
+    spans = _subset_spans(ctx, fp)
+    for I in ctx.subsets:
+        actual, target = spans[I], ctx.S_expected[I]
         if eq4_ok and actual != target.bits:
-            eq4_ok, eq4_witness = False, {"I": sorted(I)}
+            eq4_ok, eq4_witness = False, {"I": _axes(I)}
         if lemma1_ok and any(reduce_bits(r, actual) for r in ctx.full_bits[fp[ctx.A_vids[I]]]):
-            lemma1_ok, lemma1_witness = False, {"I": sorted(I)}
+            lemma1_ok, lemma1_witness = False, {"I": _axes(I)}
         if not lemma4_ok:
             continue
         members = target.code_members
@@ -550,30 +539,28 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
         else:
             bad = next((v for v in members if any(reduce_bits(r, actual) for r in ctx.full_bits[fp[v]])), None)
         if bad is not None:
-            lemma4_ok, lemma4_witness = False, {"I": sorted(I), "vertex": bad}
+            lemma4_ok, lemma4_witness = False, {"I": _axes(I), "vertex": bad}
     record("eq4", eq4_ok, eq4_witness)
     record("lemma1", lemma1_ok, lemma1_witness)
     record("lemma4", lemma4_ok, lemma4_witness)
 
     bad = next((I for I in ctx.subsets if fp[ctx.A_vids[I]] != gid[ctx.A_vids[I]]), None)
-    record("lemma2", bad is None, None if bad is None else {"I": sorted(bad)})
+    record("lemma2", bad is None, None if bad is None else {"I": _axes(bad)})
 
+    def text(v: int) -> str:
+        return vector_text(bits_to_vec(v, ctx.n))
+
+    ones = (1 << ctx.n) - 1
     lemma3_ok = True
     lemma3_witness = None
     for lid in ctx.gprime_lids:
-        common = ctx.all_lines_mask
-        for v in ctx.sc_code[lid]:
-            common &= masks[v]
-        if common.bit_count() != 1:
-            lemma3_ok, lemma3_witness = False, {"line": ctx.lines[lid].inline_text()}
+        got = _common_line(ctx, fp, ctx.sc_code[lid])
+        if got is None:
+            lemma3_ok, lemma3_witness = False, {"line": text(lid)}
             break
-        got = common.bit_length() - 1
-        # the line may go to itself or to its twin; Q has no twin
-        if got not in (lid, ctx.twin.get(lid)):
-            lemma3_ok, lemma3_witness = False, {
-                "line": ctx.lines[lid].inline_text(),
-                "image": ctx.lines[got].inline_text(),
-            }
+        # the line may go to itself or to its twin; Q's twin, 0, is no line
+        if got not in (lid, ones ^ lid):
+            lemma3_ok, lemma3_witness = False, {"line": text(lid), "image": text(got)}
             break
     record("lemma3", lemma3_ok, lemma3_witness)
 
@@ -584,7 +571,7 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
     for I in () if identity else ctx.three_subsets:
         members = ctx.S_expected[I].code_members
         if [fp[v] for v in members] == [gid[v] for v in members]:
-            lemma5_ok, lemma5_witness = False, {"I": sorted(I)}
+            lemma5_ok, lemma5_witness = False, {"I": _axes(I)}
             break
     record("lemma5", lemma5_ok, lemma5_witness)
 
@@ -599,13 +586,13 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
     g1_pn_ok = False
     g1_pn_witness = None
     pn_lid = ctx.p_upper[ctx.n - 1]
-    got = _common_line(ctx, (fp[v] for v in ctx.sc_code[pn_lid]))
+    got = _common_line(ctx, fp, ctx.sc_code[pn_lid])
     if got is not None and kind is not None:
         # the collapse map fixes the lines inside H and twins the others
-        expected = pn_lid if kind == "identity" or ctx.pn_in_H else ctx.twin[pn_lid]
+        expected = pn_lid if kind == "identity" or ctx.pn_in_H else ones ^ pn_lid
         g1_pn_ok = got == expected
         if not g1_pn_ok:
-            g1_pn_witness = {"image": ctx.lines[got].inline_text()}
+            g1_pn_witness = {"image": text(got)}
     record("g1_pn", g1_pn_ok, g1_pn_witness)
 
     return {

@@ -372,6 +372,12 @@ def test_backtrack_with_an_empty_last_domain_yields_nothing(ns):
         assert list(backtrack(SearchPlan(src, None), tgt, domains)) == []
 
 
+@pytest.mark.parametrize("order", [(), None], ids=["static", "fail-first"])
+def test_backtrack_from_an_empty_source_yields_the_empty_map(order):
+    # the only map from no vertices is the empty one, whatever the target
+    assert list(backtrack(SearchPlan((), order), (0b10, 0b01), [])) == [()]
+
+
 class Reads(tuple):
     """An adjacency tuple that logs every row index read from it."""
 

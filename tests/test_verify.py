@@ -19,7 +19,7 @@ from codegraph.autgroup import (
     identity_automorphism,
     vertex_permutation,
 )
-from codegraph.fqlinalg import from_bits, rank_bits, rref, rref_bits, vec_to_bits
+from codegraph.fqlinalg import bits_to_vec, enumerate_subspaces, from_bits, rank_bits, rref, rref_bits, vec_to_bits
 from codegraph.grassmann import SearchPlan, backtrack, greedy_order, mask_ids
 from codegraph.hmap import abc_partition, h_map, line_support, p_copoint, special_frame
 from codegraph.verify import (
@@ -46,6 +46,11 @@ def swap_automorphism(n: int, i: int, j: int) -> GraphAutomorphism:
     return GraphAutomorphism(n, tuple(cols))
 
 
+def axes(I: int) -> list[int]:
+    """The axes 1..n-1 of the subset with indicator vector I."""
+    return [i + 1 for i in mask_ids(I)]
+
+
 def in_span(rows, basis) -> bool:
     """Whether every packed row lies in the span of the independent rows
     ``basis``, decided by rank rather than by reduction against them."""
@@ -67,15 +72,16 @@ def composite_images(ctx, a: GraphAutomorphism) -> tuple[int, ...]:
 def test_context_sanity(ctx4):
     assert ctx4.nc == 13
     assert ctx4.full.nv == 35
-    assert len(ctx4.A_vids) == 7
+    assert len({ctx4.A_vids[I] for I in ctx4.subsets}) == 7
     assert len(ctx4.a_singleton) == 3
     assert len(ctx4.b_pair_vids) == 3
     assert len(ctx4.gprime_lids) == 5  # the all-ones line plus four axes complements
-    for I, target in ctx4.S_expected.items():
-        assert len(target.bits) == len(I) + 1
+    for I in ctx4.subsets:
+        target = ctx4.S_expected[I]
+        assert len(target.bits) == I.bit_count() + 1
         assert len(target.code_members) >= 1
     # every star used for frame recovery has at least two members
-    for lid in (ctx4.q_lid, *ctx4.p_upper):
+    for lid in ((1 << 4) - 1, *ctx4.p_upper):
         assert len(ctx4.sc_code[lid]) >= 2
     assert ctx4.pn_in_H is False  # even n: the complement of the last axis is outside H
 
@@ -94,12 +100,30 @@ def test_frame_read_off_the_line_table_matches_the_subspace_frame(n):
     # frame and partition stay the reference
     ctx = build_context(n)
     frame = special_frame(n)
-    assert ctx.all_A_vids == ctx.sc_code[ctx.q_lid] == tuple(sorted(abc_partition(ctx.code).A))
-    frame_lines = [ctx.lines[lid] for lid in ctx.frame_lids]
+    assert ctx.all_A_vids == ctx.sc_code[(1 << n) - 1] == tuple(sorted(abc_partition(ctx.code).A))
+    frame_lines = [from_bits((lid,), n) for lid in ctx.frame_lids]
     assert frame_lines == [frame.Q] + [p_copoint({i}, n) for i in range(1, n)]
     assert rref([p.rows[0] for p in frame_lines[1:]], n, 2) == frame.H
-    assert ctx.frame_dst == tuple(p.bits[0] for p in frame_lines)
-    assert ctx.pn_in_H is frame.H.contains(ctx.lines[ctx.p_upper[n - 1]])
+    assert ctx.frame_lids == tuple(p.bits[0] for p in frame_lines)
+    assert ctx.pn_in_H is frame.H.contains(from_bits((ctx.p_upper[n - 1],), n))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_lines_and_subsets_are_indexed_by_their_vectors(n):
+    # a line's index is its packed vector and a subset's is its indicator;
+    # the planes' own vectors, the Subspace membership test, the axis
+    # combinations and the line enumeration stay the reference
+    ctx = build_context(n)
+    for p, x in enumerate(ctx.full.vertices):
+        assert ctx.vline_mask[p] == sum(1 << vec_to_bits(v) for v in x.nonzero_vectors()), p
+    assert len(ctx.sc_code) == 1 << n and ctx.sc_code[0] == ()
+    for v in range(1, 1 << n):
+        vec = bits_to_vec(v, n)
+        assert ctx.sc_code[v] == tuple(c for c, x in enumerate(ctx.code.vertices) if x.contains_vector(vec)), v
+    combos = [list(c) for size in range(1, n) for c in itertools.combinations(range(1, n), size)]
+    assert [axes(I) for I in ctx.subsets] == combos
+    gprime = [p for p in enumerate_subspaces(n, 1, 2) if len(line_support(p)) >= 3]
+    assert [from_bits((v,), n) for v in ctx.gprime_lids] == gprime
 
 
 def brute_force_s_targets(ctx) -> dict:
@@ -108,7 +132,7 @@ def brute_force_s_targets(ctx) -> dict:
     ones = (1 << ctx.n) - 1
     out = {}
     for I in ctx.subsets:
-        red = rref_bits([ones] + [1 << (i - 1) for i in I])
+        red = rref_bits([ones] + [1 << (i - 1) for i in axes(I)])
         vecs = frozenset(vec_to_bits(v) for v in from_bits(red, ctx.n).vectors())
         mask = 0
         for vid, (r1, r2) in enumerate(ctx.full_bits):
@@ -127,16 +151,18 @@ def test_tables_read_off_the_line_tables_match_the_reference(n):
     index = ctx.full.index
     assert ctx.h_gid == tuple(index[h_map(x)] for x in ctx.code.vertices)
     expected = brute_force_s_targets(ctx)
-    assert list(ctx.S_expected) == list(expected)
-    for I, target in ctx.S_expected.items():
+    assert [I for I, target in enumerate(ctx.S_expected) if target is not None] == sorted(expected)
+    for I, target in enumerate(ctx.S_expected):
+        if target is None:
+            continue
         red, mask, members = expected[I]
-        assert (target.bits, target.code_members) == (red, members), sorted(I)
+        assert (target.bits, target.code_members) == (red, members), axes(I)
         # the line mask holds the lines inside S_I, one scan per line
-        lines = sum(1 << lid for lid, b in enumerate(ctx.line_bits) if in_span((b,), red))
-        assert target.line_mask == lines, sorted(I)
+        lines = sum(1 << v for v in range(1, 1 << n) if in_span((v,), red))
+        assert target.line_mask == lines, axes(I)
         # and a plane lies in S_I iff none of its lines is outside it
         outside = ctx.all_lines_mask ^ target.line_mask
-        assert sum(1 << vid for vid, m in enumerate(ctx.vline_mask) if not m & outside) == mask, sorted(I)
+        assert sum(1 << vid for vid, m in enumerate(ctx.vline_mask) if not m & outside) == mask, axes(I)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -187,11 +213,12 @@ def test_context_refuses_a_point_map_that_sends_a_plane_into_no_plane(monkeypatc
 def test_context_refuses_an_indicator_plane_off_the_a_class(monkeypatch, n, wrong):
     # fault: the indicator vector of {1} comes out as Q itself, so its
     # lookup lands on no plane, or as the indicator of {2}, so the A plane
-    # of {1} is never reached; the context is built directly, not through
-    # build_context, so nothing enters the cache
-    real = hmap.p_point
-    bad = rref([(1,) * n]) if wrong == "Q" else real({2}, n)
-    monkeypatch.setattr(hmap, "p_point", lambda s, m: bad if set(s) == {1} else real(s, m))
+    # of {1} is never reached; the subsets are sums over the axis
+    # combinations, 0-based, so {1} is the combination (0,); the context is
+    # built directly, not through build_context, so nothing enters the cache
+    real = itertools.combinations
+    bad = tuple(range(n)) if wrong == "Q" else (1,)
+    monkeypatch.setattr(verify, "combinations", lambda it, r: [bad if c == (0,) else c for c in real(it, r)])
     cached = dict(verify._CTX_CACHE)
     with pytest.raises(Falsified, match="not the A class"):
         verify.LemmaContext(n)
@@ -205,9 +232,9 @@ def test_a_planes_are_looked_up_by_indicator(n):
     frame = special_frame(n)
     index = ctx.full.index
     for I in ctx.subsets:
-        want = index[rref(frame.Q.rows + hmap.p_point(I, n).rows)]
-        assert ctx.gid[ctx.A_vids[I]] == want, sorted(I)
-    assert sorted(ctx.A_vids.values()) == list(ctx.all_A_vids)
+        want = index[rref(frame.Q.rows + hmap.p_point(axes(I), n).rows)]
+        assert ctx.gid[ctx.A_vids[I]] == want, axes(I)
+    assert sorted(ctx.A_vids[I] for I in ctx.subsets) == list(ctx.all_A_vids)
 
 
 def test_context_refuses_an_s_i_of_the_wrong_size(monkeypatch):
@@ -326,7 +353,7 @@ def test_context_refuses_stars_that_miss_an_edge(monkeypatch):
     # fault: the A-class star reads as holding a single plane, so it drops
     # out of the code stars and the recheck would skip its edges
     ctx = build_context(4)
-    dropped = ctx.sc_code[ctx.q_lid]
+    dropped = ctx.sc_code[(1 << 4) - 1]
     monkeypatch.setattr(verify, "len", lambda x: 1 if x == dropped else len(x), raising=False)
     with pytest.raises(Falsified, match="pairs, not the 51 code edges"):
         verify.LemmaContext(4)
@@ -583,11 +610,11 @@ def reference_normalize(ctx, images):
         if got is None:
             raise Falsified(f"image of the star through axis complement {i} has no unique center")
         g1.append(got)
-    src = [ctx.line_bits[lid] for lid in g1]
-    cols = solve_cols(src, ctx.frame_dst, n)
+    src = g1
+    cols = solve_cols(src, ctx.frame_lids, n)
     # cols = D S^-1, so its inverse S D^-1 has as column t the XOR of the
     # sources over the set bits of column t of D^-1
-    dst_inv = solve_cols(list(ctx.frame_dst), [1 << t for t in range(n)], n)
+    dst_inv = solve_cols(list(ctx.frame_lids), [1 << t for t in range(n)], n)
     inv_cols = tuple(push(tuple(src), c) for c in dst_inv)
     return ctx.map_images(cols, f1), cols, inv_cols, dualled
 
@@ -710,14 +737,15 @@ def test_lemma_chain_identity_and_h(ctx4):
 
 
 def reference_subset_spans(ctx, fp):
-    """The reduced span of each S_I's plane images, reduced from scratch:
-    one ``rref_bits`` over all the rows of I's planes per subset."""
-    spans = []
+    """The reduced span of each S_I's plane images, indexed by I, reduced
+    from scratch: one ``rref_bits`` over all the rows of I's planes per
+    subset."""
+    spans = [()] * (1 << ctx.n - 1)
     for I in ctx.subsets:
         rows = []
-        for i in I:
+        for i in axes(I):
             rows.extend(ctx.full_bits[fp[ctx.a_singleton[i - 1]]])
-        spans.append(rref_bits(rows))
+        spans[I] = rref_bits(rows)
     return spans
 
 
@@ -758,15 +786,16 @@ def reference_lemma_chain(ctx, fp):
     lemma1_ok = True
     lemma4_ok = True
     eq4_witness = lemma1_witness = lemma4_witness = None
-    for I, actual in zip(ctx.subsets, reference_subset_spans(ctx, fp)):
-        target = ctx.S_expected[I]
+    spans = reference_subset_spans(ctx, fp)
+    for I in ctx.subsets:
+        actual, target = spans[I], ctx.S_expected[I]
         if actual != target.bits:
             if eq4_ok:
-                eq4_ok, eq4_witness = False, {"I": sorted(I)}
+                eq4_ok, eq4_witness = False, {"I": axes(I)}
         a_vid = ctx.A_vids[I]
         if not in_span(ctx.full_bits[fp[a_vid]], actual):
             if lemma1_ok:
-                lemma1_ok, lemma1_witness = False, {"I": sorted(I)}
+                lemma1_ok, lemma1_witness = False, {"I": axes(I)}
         # a plane lies in S_I iff none of its lines is outside S_I
         outside = ctx.all_lines_mask ^ target.line_mask if actual == target.bits else None
         for v in target.code_members:
@@ -778,7 +807,7 @@ def reference_lemma_chain(ctx, fp):
             )
             if not inside:
                 if lemma4_ok:
-                    lemma4_ok, lemma4_witness = False, {"I": sorted(I), "vertex": v}
+                    lemma4_ok, lemma4_witness = False, {"I": axes(I), "vertex": v}
                 break
     record("eq4", eq4_ok, eq4_witness)
     record("lemma1", lemma1_ok, lemma1_witness)
@@ -787,23 +816,24 @@ def reference_lemma_chain(ctx, fp):
     bad = next(
         (I for I in ctx.subsets if fp[ctx.A_vids[I]] != gid[ctx.A_vids[I]]), None
     )
-    record("lemma2", bad is None, None if bad is None else {"I": sorted(bad)})
+    record("lemma2", bad is None, None if bad is None else {"I": axes(bad)})
 
     lemma3_ok = True
     lemma3_witness = None
     for lid in ctx.gprime_lids:
         got = star_centre(ctx, fp, ctx.sc_code[lid])
+        line = from_bits((lid,), ctx.n)
         if got is None:
-            lemma3_ok, lemma3_witness = False, {"line": ctx.lines[lid].inline_text()}
+            lemma3_ok, lemma3_witness = False, {"line": line.inline_text()}
             break
-        if lid == ctx.q_lid:
+        if line == special_frame(ctx.n).Q:
             allowed = (lid,)
         else:
-            allowed = (lid, ctx.twin[lid])
+            allowed = (lid, p_copoint(line_support(line), ctx.n).bits[0])
         if got not in allowed:
             lemma3_ok, lemma3_witness = False, {
-                "line": ctx.lines[lid].inline_text(),
-                "image": ctx.lines[got].inline_text(),
+                "line": line.inline_text(),
+                "image": from_bits((got,), ctx.n).inline_text(),
             }
             break
     record("lemma3", lemma3_ok, lemma3_witness)
@@ -814,7 +844,7 @@ def reference_lemma_chain(ctx, fp):
     for I in ctx.three_subsets:
         hyp = all(fp[v] == gid[v] for v in ctx.S_expected[I].code_members)
         if hyp and not identity:
-            lemma5_ok, lemma5_witness = False, {"I": sorted(I)}
+            lemma5_ok, lemma5_witness = False, {"I": axes(I)}
             break
     record("lemma5", lemma5_ok, lemma5_witness)
 
@@ -832,10 +862,10 @@ def reference_lemma_chain(ctx, fp):
     got = star_centre(ctx, fp, ctx.sc_code[pn_lid])
     if got is not None and kind is not None:
         # the collapse map fixes the lines inside H and twins the others
-        expected = pn_lid if kind == "identity" or ctx.pn_in_H else ctx.line_id[1 << (ctx.n - 1)]
+        expected = pn_lid if kind == "identity" or ctx.pn_in_H else 1 << (ctx.n - 1)
         g1_pn_ok = got == expected
         if not g1_pn_ok:
-            g1_pn_witness = {"image": ctx.lines[got].inline_text()}
+            g1_pn_witness = {"image": from_bits((got,), ctx.n).inline_text()}
     record("g1_pn", g1_pn_ok, g1_pn_witness)
 
     return {
@@ -903,6 +933,48 @@ def test_grown_spans_match_the_per_subset_reduction_on_the_n4_stream(ctx4, n4_st
     assert {"eq4", "lemma4"} <= failed
 
 
+# sha256 of the chain reports and point maps below, computed before the
+# context's tables were indexed by vectors; the reference chain is ported
+# along with the route, so only this pin catches a drift in their order
+CHAIN_REPORT_PINS = {
+    4: "be76a9ae5bbf68f396e415d523a1f4bc2bd342614729e5a99c250c481fcd36db",
+    5: "2f2b2293bd4c91d42718e83bc00ed3ebd6ce1e7c5014ac3ea2d73d2a7a81be52",
+    6: "66ad16c27f2d514d86a430b584c8d45f89214531f2967726ecdedd6b3d8f948b",
+    7: "f7851237e30b961ed84a0dc5fc4233089e299f1ec8ad2d419bb963cc51235b18",
+}
+
+
+def chain_report_lines(ctx, images_list):
+    """One JSON line per tuple: its whole chain report, then its point map
+    as (line, image) text pairs in dict order, or the exception's name."""
+    for images in images_list:
+        emb = EmbeddingMap(ctx.n, images)
+        try:
+            pm = [[p.inline_text(), g.inline_text()] for p, g in point_map(ctx, emb).items()]
+        except Falsified as exc:
+            pm = type(exc).__name__
+        yield json.dumps([lemma_chain(ctx, emb), pm])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_chain_reports_and_point_maps_are_pinned(n):
+    # the seeded chain inputs, then unnormalized restrictions and collapse
+    # composites, whose stars keep a centre that is not their own line
+    ctx = build_context(n)
+    rng = random.Random(1300 + n)
+    images_list = seeded_chain_inputs(ctx, rng, 20)
+    for k in range(6):
+        cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
+        while rank_bits(cols) != n:
+            cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
+        images_list.append(ctx.map_images(cols, ctx.gid if k % 2 else ctx.h_gid))
+    lines = list(chain_report_lines(ctx, images_list))
+    # witnesses of failed checks and both point-map outcomes are in the pin
+    assert any('"passed": false, "witness": {"line": "' in line and '"image": "' in line for line in lines)
+    assert any(line.endswith('"Falsified"]') for line in lines) and any(line.endswith("]]]") for line in lines)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CHAIN_REPORT_PINS[n]
+
+
 def test_lemma5_hypothesis_fails_everywhere_for_h(ctx4):
     # the collapse map moves some member of every 3-subset block
     for I in ctx4.three_subsets:
@@ -916,8 +988,8 @@ def test_g1_of_last_axis_complement_for_h(ctx4):
     from codegraph.verify import _common_line
 
     pn = ctx4.p_upper[ctx4.n - 1]
-    got = _common_line(ctx4, (ctx4.h_gid[v] for v in ctx4.sc_code[pn]))
-    assert got == ctx4.line_id[1 << (ctx4.n - 1)]
+    got = _common_line(ctx4, ctx4.h_gid, ctx4.sc_code[pn])
+    assert got == 1 << (ctx4.n - 1)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -929,10 +1001,10 @@ def test_g1_pn_fails_with_an_image_witness_when_pn_in_H_is_flipped(n):
     truly_in_H = ctx.pn_in_H
     ctx.pn_in_H = not truly_in_H
     # the collapse map fixes P^n inside H and sends it to e_n otherwise
-    image = ctx.p_upper[n - 1] if truly_in_H else ctx.line_id[1 << (n - 1)]
+    image = ctx.p_upper[n - 1] if truly_in_H else 1 << (n - 1)
     report = lemma_chain(ctx, EmbeddingMap(n, ctx.h_gid))
     assert report["endgame_kind"] == "h"
-    assert report["checks"]["g1_pn"] == {"passed": False, "witness": {"image": ctx.lines[image].inline_text()}}
+    assert report["checks"]["g1_pn"] == {"passed": False, "witness": {"image": from_bits((image,), n).inline_text()}}
     assert [name for name, res in report["checks"].items() if not res["passed"]] == ["g1_pn"]
     # the identity expects P^n itself whatever the flag says
     assert lemma_chain(ctx, EmbeddingMap(n, ctx.gid))["checks"]["g1_pn"] == {"passed": True, "witness": None}
@@ -944,14 +1016,14 @@ def test_point_map_invariants(ctx4):
     frame = special_frame(4)
     # defined exactly on the all-ones line and lines of support >= 3
     assert set(pm) == {
-        ctx4.lines[lid] for lid in ctx4.gprime_lids
+        from_bits((lid,), 4) for lid in ctx4.gprime_lids
     }
     assert all(
         p == frame.Q or len(line_support(p)) >= 3 for p in pm
     )
     # images of each star lie inside the star of the assigned line
     for lid in ctx4.gprime_lids:
-        p = ctx4.lines[lid]
+        p = from_bits((lid,), 4)
         g1p = pm[p]
         for v in ctx4.sc_code[lid]:
             assert ctx4.full.vertices[ctx4.h_gid[v]].contains(g1p)
@@ -1177,11 +1249,11 @@ def test_frame_equation_before_normalization(ctx4):
 
     for a in (swap_automorphism(4, 1, 2), swap_automorphism(4, 3, 4)):
         images = restriction_images(ctx4, a)
-        g1_q = _common_line(ctx4, (images[v] for v in ctx4.all_A_vids))
+        g1_q = _common_line(ctx4, images, ctx4.all_A_vids)
         for i in range(1, 4):
             lid = ctx4.p_upper[i - 1]
-            g1_pi = _common_line(ctx4, (images[v] for v in ctx4.sc_code[lid]))
-            want = subspace_sum(ctx4.lines[g1_q], ctx4.lines[g1_pi])
+            g1_pi = _common_line(ctx4, images, ctx4.sc_code[lid])
+            want = subspace_sum(from_bits((g1_q,), 4), from_bits((g1_pi,), 4))
             got = ctx4.full.vertices[images[ctx4.a_singleton[i - 1]]]
             assert got == want
 
