@@ -11,7 +11,7 @@ without enumerating anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Optional
 
 from .errors import ParameterError
 from . import fqlinalg
@@ -79,12 +79,20 @@ class CliqueClass:
     @property
     def verdict(self) -> str:
         if self.star_center is not None and self.top_roof is not None:
-            return "star+top"  # never expected; tests assert absence
+            # a star family that is also a top family; of the full
+            # graphs only G(2,1)_q has one: its points are the star
+            # over 0 and the top F_q^2
+            return "star+top"
         if self.star_center is not None:
             return "star"
         if self.top_roof is not None:
             return "top"
         return "neither"
+
+    @property
+    def anchor(self) -> Optional[Subspace]:
+        """The star centre, else the top roof, else None."""
+        return self.star_center if self.star_center is not None else self.top_roof
 
     @property
     def size(self) -> int:
@@ -127,55 +135,45 @@ def maximal_clique_masks(adj: tuple[int, ...]) -> list[int]:
 
 
 def classify_clique(g: CodeGraph, vids: frozenset[int]) -> CliqueClass:
-    """Taxonomy verdict for a maximal clique of g.
+    """Taxonomy verdict for a maximal clique of g, read from its first edge.
 
-    Star and top are recorded only when the clique equals the complete
-    intersection of the candidate family with g's vertex set; partial
-    containment stays "neither".  ``maximal_in_code_graph`` is tested,
-    not assumed: vids (on a code graph) or its non-degenerate members
-    (on a full graph) must form a maximal clique of the code graph.
+    The first two members x and y (in id order) are adjacent, so
+    ``meet`` = x ∩ y is a (k-1)-space and ``join`` = x + y a
+    (k+1)-space.  The clique is a star exactly when every other member
+    contains ``meet``, and a top exactly when ``join`` contains every
+    other member; a one-member clique is neither.  This records a star
+    (top) exactly when the clique equals the whole family of g's
+    vertices through a (k-1)-space (inside a (k+1)-space):
+    - a star family through C has C ⊆ x ∩ y, and the dimensions are
+      equal, so C = meet; likewise a top's roof R equals join;
+    - two distinct k-spaces through one (k-1)-space, or inside one
+      (k+1)-space, meet in a (k-1)-space, so a family's members are
+      pairwise adjacent in G(n,k)_q and in every induced subgraph.  Its
+      vertices in g form a clique that contains vids, and because vids
+      is maximal, that clique is vids.
 
-    The families are compared with the clique through its common
-    neighbourhood instead of a scan of every vertex.  Every member
-    contains ``center``, the members' intersection, and lies in
-    ``roof``, the members' sum, so vids is a subset of the family.  Two
-    distinct k-spaces through one (k-1)-space meet in exactly that
-    (k-1)-space, and two distinct k-spaces inside one (k+1)-space meet
-    in a (k-1)-space, so the members of a star family, and those of a
-    top family, are pairwise adjacent in G(n,k)_q and in every induced
-    subgraph, at every q and k.  Hence family minus vids lies in
-    ``outside``, the common neighbours of vids, and family == vids
-    exactly when no vertex of ``outside`` is in the family.  For a
-    maximal clique ``outside`` is empty and no containment is tested.
+    ValueError unless vids is a maximal clique of g.
+    ``maximal_in_code_graph`` is tested, not assumed: on a code graph it
+    is that same check, and on a full graph the non-degenerate members
+    of vids must form a maximal clique of the code graph.
     """
+    if not _is_maximal_clique(g, vids):
+        raise ValueError(f"not a maximal clique of the graph: {sorted(vids)}")
     members = [g.vertices[v] for v in sorted(vids)]
-    k = g.k
-    outside = [g.vertices[v] for v in mask_ids(_common_neighbours(g, vids))]
+    star_center = top_roof = None
+    if len(members) > 1:
+        x, y, rest = members[0], members[1], members[2:]
+        meet, join = intersect(x, y), subspace_sum(x, y)
+        if all(m.contains(meet) for m in rest):
+            star_center = meet
+        if all(join.contains(m) for m in rest):
+            top_roof = join
 
-    center = members[0]
-    for m in members[1:]:
-        center = intersect(center, m)
-        if center.k < k - 1:
-            break
-    star_center = None
-    if center.k == k - 1 and not any(x.contains(center) for x in outside):
-        star_center = center
-
-    roof = members[0]
-    for m in members[1:]:
-        roof = subspace_sum(roof, m)
-        if roof.k > k + 1:
-            break
-    top_roof = None
-    if roof.k == k + 1 and not any(roof.contains(x) for x in outside):
-        top_roof = roof
-
-    if g.kind == KIND_NONDEGENERATE:
-        code, cset = g, vids
-    else:
+    maximal_in_code = True
+    if g.kind != KIND_NONDEGENERATE:
         code = build_graph(g.n, g.k, g.q, KIND_NONDEGENERATE)
         cset = {code.index[x] for x in members if is_nondegenerate(x)}
-    maximal_in_code = bool(cset) and _is_maximal_clique(code, cset)
+        maximal_in_code = bool(cset) and _is_maximal_clique(code, cset)
 
     is_max_star = star_center is not None and is_nondegenerate(star_center)
     return CliqueClass(
@@ -187,25 +185,14 @@ def classify_clique(g: CodeGraph, vids: frozenset[int]) -> CliqueClass:
     )
 
 
-def _common_neighbours(g: CodeGraph, vids: Iterable[int]) -> int:
-    """Bitmask of the vertices outside vids adjacent to every vertex of vids."""
-    common = (1 << g.nv) - 1
-    mask = 0
-    for v in vids:
-        common &= g.adj[v]
-        mask |= 1 << v
-    return common & ~mask
-
-
 def _is_maximal_clique(g: CodeGraph, vids: AbstractSet[int]) -> bool:
-    mask = 0
+    """True when vids is a clique of g that no vertex extends: the closed
+    neighbourhoods of its members meet in vids alone."""
+    mask, common = 0, (1 << g.nv) - 1
     for v in vids:
         mask |= 1 << v
-    # pairwise adjacency
-    for v in vids:
-        if (g.adj[v] & mask).bit_count() != len(vids) - 1:
-            return False
-    return _common_neighbours(g, vids) == 0
+        common &= g.adj[v] | 1 << v
+    return common == mask
 
 
 def enumerate_maximal_cliques(g: CodeGraph) -> list[CliqueClass]:
@@ -221,8 +208,7 @@ def enumerate_maximal_cliques(g: CodeGraph) -> list[CliqueClass]:
 def clique_report_rows(cliques: list[CliqueClass]) -> list[str]:
     rows = []
     for c in cliques:
-        anchor = c.star_center if c.star_center is not None else c.top_roof
-        anchor_text = anchor.inline_text() if anchor is not None else "-"
+        anchor_text = c.anchor.inline_text() if c.anchor is not None else "-"
         rows.append(
             f"{c.verdict} size={c.size} anchor={anchor_text} "
             f"maximal_in_code_graph={int(c.maximal_in_code_graph)} "

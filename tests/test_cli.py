@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -76,6 +77,56 @@ def test_cliques_command(capsys):
     assert payload["maximal_cliques"] == 30
     assert payload["stars"] == 15 and payload["tops"] == 15
     assert payload["falsified"] is False
+
+
+# sha256 of `cliques --format json` (stdout) by (n, k, q, kind), computed
+# before classify_clique read a maximal clique from its first edge; the
+# (4,1,2) code graph's one clique, the all-ones point alone, is the only
+# anchor-less "anchor": null
+CLIQUE_PAYLOAD_PINS = {
+    (4, 2, 2, "full"): "99c7a150292e1c38f7db407f47104427f151a5af6df8dea9c8f5382a43e5f552",
+    (4, 2, 2, "nondegenerate"): "4371ca3ce9dac72c5dc981d739fb402c3e9dcab5c172ef5c829eb73b311c8dda",
+    (5, 2, 2, "full"): "79b03db9218d1d849dc1442f2a9b0554003e1e10d16f6854ae8de46bef719196",
+    (5, 2, 2, "nondegenerate"): "70a6bb71f63c3198c2e7faef6a566210bb2db9700a7a1e174e4ea83e9c62b2c1",
+    (5, 3, 2, "full"): "f2871d0ad2d80eec0919f144b3a8ab63ff078c6a07f580cc10cb214db096ab92",
+    (5, 3, 2, "nondegenerate"): "9f6a9125edc4f510941fc70945659beb6d8698abf5b870094b8e6917b4384d6f",
+    (4, 2, 3, "full"): "0882707d598463b9a202c75c5c633c9df6275f4517dc8024a4e2bde448758182",
+    (4, 2, 3, "nondegenerate"): "97d17c03dc569fa3631e0609babfaa7592a2707be01aa7db42eaeddb7c5e82c2",
+    (4, 1, 2, "full"): "38f11a47d77c2dae38c587d17fb88ffaeb46f36d72a6ab5c7b2942d2d2c6b8f5",
+    (4, 1, 2, "nondegenerate"): "76d01553582ac470cc2372112b73a6cab662658e27aeb7351418443f6eb75fbb",
+    (4, 3, 2, "full"): "53d962619bd5267cac4bb2be4c62a9df92b6a22cea54a49d54f1c7335bb92ea7",
+    (4, 3, 2, "nondegenerate"): "1afc80e75bcdf2eddec866aed277e8d602e07ac7c703a6019ff738e7124ade1b",
+    (3, 1, 3, "full"): "4fd0a4a291592ca339886ffb6a96b7a47f13cdad84ba2be76465e90d039613ba",
+    (3, 1, 3, "nondegenerate"): "8608b1435afa7cb070e7bac6fd540f2f85f610ff8d18d1be2e98e21487aa698f",
+    (6, 2, 2, "nondegenerate"): "10fffe3b2af0e0ee8d394d2259b642d168cd85c10f763ab724016ede8f814eda",
+}
+
+
+@pytest.mark.parametrize("n, k, q, kind", CLIQUE_PAYLOAD_PINS)
+def test_clique_payloads_are_byte_stable(capsys, n, k, q, kind):
+    argv = ["cliques", "--n", str(n), "--k", str(k), "--q", str(q), "--format", "json"]
+    code, out = run_cli(capsys, argv + (["--nondegenerate"] if kind == "nondegenerate" else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLIQUE_PAYLOAD_PINS[n, k, q, kind]
+
+
+@pytest.mark.parametrize(
+    "q, kind, stars_and_tops",
+    [(2, "full", 1), (3, "full", 1), (3, "nondegenerate", 1), (2, "nondegenerate", 0)],
+)
+def test_the_complete_graph_of_points_of_the_plane_is_star_and_top(capsys, q, kind, stars_and_tops):
+    # G(2,1)_q is complete: its one maximal clique is both the star over
+    # the zero space and the top F_q^2, counted under both and no
+    # counterexample; the (2,1,2) code graph is the one point (1,1), a
+    # one-member clique and so "neither"
+    argv = ["cliques", "--n", "2", "--k", "1", "--q", str(q), "--format", "json"]
+    code, out = run_cli(capsys, argv + (["--nondegenerate"] if kind == "nondegenerate" else []))
+    payload = json.loads(out)
+    assert code == 0 and payload["falsified"] is False
+    assert payload["maximal_cliques"] == 1
+    assert payload["stars"] == payload["tops"] == stars_and_tops
+    assert payload["neither"] == 1 - stars_and_tops
+    assert payload["cliques"][0]["verdict"] == ("star+top" if stars_and_tops else "neither")
 
 
 def test_hmap_verify_ok(capsys):
