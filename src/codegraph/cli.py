@@ -125,6 +125,8 @@ def _cmd_graph(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _cmd_cliques(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
+    # refused before the subspaces are listed
+    cliques.check_clique_vertices(grassmann.vertex_count(ns.n, ns.k, ns.q, _kind(ns)))
     g = grassmann.build_graph(ns.n, ns.k, ns.q, _kind(ns))
     found = cliques.enumerate_maximal_cliques(g)
     # a "star+top" clique (only G(2,1)_q among the full graphs) counts as both

@@ -11,12 +11,17 @@ without enumerating anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import AbstractSet, Optional
 
 from .errors import ParameterError
 from . import fqlinalg
 from .fqlinalg import Subspace, enumerate_subspaces, intersect, rref, subspace_sum
 from .grassmann import KIND_NONDEGENERATE, CodeGraph, build_graph, is_nondegenerate, mask_ids
+
+# the largest graph whose maximal cliques are enumerated
+MAX_VERTICES = 2000
 
 
 def star(x: Subspace, restrict: bool = False) -> set[Subspace]:
@@ -62,7 +67,7 @@ def star_criterion(x: Subspace) -> bool:
     """
     if x.q >= 3:
         return True
-    zero_cols = sum(1 for j in range(x.n) if not any(row[j] for row in x.rows))
+    zero_cols = x.n - reduce(or_, x.bits, 0).bit_count()
     return zero_cols <= x.n - x.k - 2
 
 
@@ -195,11 +200,16 @@ def _is_maximal_clique(g: CodeGraph, vids: AbstractSet[int]) -> bool:
     return common == mask
 
 
+def check_clique_vertices(nv: int) -> None:
+    """ParameterError when a graph of nv vertices is past MAX_VERTICES."""
+    if nv > MAX_VERTICES:
+        raise ParameterError(f"clique enumeration needs at most {MAX_VERTICES} vertices, got {nv}")
+
+
 def enumerate_maximal_cliques(g: CodeGraph) -> list[CliqueClass]:
     """Every maximal clique of g exactly once, classified and in a
     deterministic order (sorted vertex tuples)."""
-    if g.nv > 2000:
-        raise ParameterError(f"clique enumeration needs at most 2000 vertices, got {g.nv}")
+    check_clique_vertices(g.nv)
     masks = maximal_clique_masks(g.adj)
     masks.sort(key=lambda m: tuple(mask_ids(m)))
     return [classify_clique(g, frozenset(mask_ids(m))) for m in masks]

@@ -2,17 +2,17 @@
 
 Vectors are coordinate tuples and subspaces are stored as the unique
 reduced row echelon basis of their row space, so two values describe the
-same subspace exactly when they compare equal.  For q = 2 each basis row
-is additionally packed into a machine integer (bit i holds coordinate
-i + 1) and all elimination kernels run on XOR; other primes use plain
-residue arithmetic.
+same subspace exactly when they compare equal.  Each basis row's support
+is also packed into a machine integer at construction (bit i holds
+coordinate i + 1); for q = 2 that is the row itself, and all elimination
+kernels run on XOR; other primes use plain residue arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, total_ordering
+from dataclasses import dataclass, field
+from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError
@@ -162,13 +162,17 @@ class Subspace:
 
     rows is the reduced row echelon basis with strictly increasing pivot
     columns; the constructor rejects anything else, so equality of field
-    contents is equality of subspaces and tuple comparison of flattened
-    bases gives a deterministic total order.
+    contents is equality of subspaces and comparing (n, q, k, rows) gives
+    a deterministic total order (at equal n and k, that of the bases read
+    row-major).  bits,
+    set at construction, packs each row's support (the row itself for
+    q = 2); equality, hashing and repr ignore it.
     """
 
     n: int
     q: int
     rows: tuple[Vector, ...]
+    bits: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         seen = -1
@@ -188,22 +192,14 @@ class Subspace:
                 if other is not row and other[piv]:
                     raise ValueError("pivot column not cleared")
             seen = piv
+        object.__setattr__(self, "bits", tuple(vec_to_bits(r) for r in self.rows))
 
     @property
     def k(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def bits(self) -> tuple[int, ...]:
-        """Packed rows; only meaningful for q = 2."""
-        return tuple(vec_to_bits(r) for r in self.rows)
-
-    @cached_property
-    def flat(self) -> tuple[int, ...]:
-        return tuple(c for row in self.rows for c in row)
-
     def __lt__(self, other: "Subspace") -> bool:
-        return (self.n, self.q, self.k, self.flat) < (other.n, other.q, other.k, other.flat)
+        return (self.n, self.q, self.k, self.rows) < (other.n, other.q, other.k, other.rows)
 
     def contains_vector(self, v: Sequence[int]) -> bool:
         v = make_vector(v, self.q)
@@ -349,8 +345,8 @@ def enumerate_subspaces(n: int, k: int, q: int) -> tuple[Subspace, ...]:
     """All k-dimensional subspaces of F_q^n in a fixed deterministic order.
 
     Reduced echelon bases are generated directly from their pivot-column
-    patterns, then sorted lexicographically on the flattened basis read
-    row-major.  The order is what gives graphs their stable vertex ids.
+    patterns, then sorted lexicographically on their rows (the basis read
+    row-major).  The order is what gives graphs their stable vertex ids.
     Positional and keyword calls share one cache entry.
     """
     return _enumerate_subspaces(n, k, q)

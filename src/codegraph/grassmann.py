@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from math import comb
+from operator import or_
 from typing import Iterable, Iterator
 
 from .errors import Falsified, ParameterError
@@ -36,11 +38,9 @@ MAX_ROW_BYTES = 1 << 30
 
 
 def is_nondegenerate(x: Subspace) -> bool:
-    """True when no coordinate hyperplane contains x.
-
-    Equivalent to the canonical basis matrix having no all-zero column.
-    """
-    return all(any(row[j] for row in x.rows) for j in range(x.n))
+    """True when no coordinate hyperplane contains x: the supports of its
+    canonical basis rows cover every coordinate."""
+    return reduce(or_, x.bits, 0) == (1 << x.n) - 1
 
 
 def is_adjacent(x: Subspace, y: Subspace) -> bool:
@@ -102,18 +102,32 @@ def check_grassmann(n: int, k: int, q: int) -> None:
         raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
 
 
+def vertex_count(n: int, k: int, q: int, kind: str = KIND_FULL) -> int:
+    """The vertex count of ``build_graph(n, k, q, kind)``, with its
+    parameter checks, from n, k and q alone.
+
+    The code graph's is Σ_{j=0}^{n-k} (-1)^j C(n,j) [n-j,k]_q, by
+    inclusion-exclusion over the coordinate hyperplanes: any j of them
+    meet in a copy of F_q^{n-j}, which holds no k-space once j > n - k.
+    """
+    check_grassmann(n, k, q)
+    if kind == KIND_FULL:
+        return gaussian_binomial(n, k, q)
+    if kind == KIND_NONDEGENERATE:
+        return sum((-1) ** j * comb(n, j) * gaussian_binomial(n - j, k, q) for j in range(n - k + 1))
+    raise ParameterError(f"unknown graph kind {kind!r}")
+
+
 @lru_cache(maxsize=None)
 def _build_graph(n: int, k: int, q: int, kind: str) -> CodeGraph:
-    check_grassmann(n, k, q)
-    if kind not in (KIND_FULL, KIND_NONDEGENERATE):
-        raise ParameterError(f"unknown graph kind {kind!r}")
-    if kind == KIND_FULL:
-        # refused before the subspaces are listed
-        _check_row_bytes(n, k, q, gaussian_binomial(n, k, q))
+    nv = vertex_count(n, k, q, kind)
+    # refused before the subspaces are listed
+    _check_row_bytes(n, k, q, nv)
     vertices = enumerate_subspaces(n, k, q)
     if kind == KIND_NONDEGENERATE:
         vertices = tuple(x for x in vertices if is_nondegenerate(x))
-        _check_row_bytes(n, k, q, len(vertices))
+    if len(vertices) != nv:
+        raise Falsified(f"{kind} graph at ({n},{k},{q}) lists {len(vertices)} vertices, counted {nv}")
     # Proof obligation: distinct k-spaces are adjacent iff they share a
     # (k-1)-space (then it is their intersection).  So a vertex's row is
     # the union of the stars of its hyperplanes with the vertex itself

@@ -51,7 +51,7 @@ def line_support(p: Subspace) -> frozenset[int]:
     """1-based support of a 1-dimensional subspace over F_2."""
     if p.q != 2 or p.k != 1:
         raise ValueError("expected a line over F_2")
-    return frozenset(i + 1 for i, c in enumerate(p.rows[0]) if c)
+    return frozenset(i + 1 for i in range(p.n) if p.bits[0] >> i & 1)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,53 @@ def test_enum_block_count(capsys):
     assert len(blocks) == 35
 
 
+# sha256 of `enum --format json` (stdout) by (n, k, q), computed while
+# subspaces were still ordered by a cached flattened copy of their basis
+ENUM_PAYLOAD_PINS = {
+    (4, 2, 2): "62087359584fec368c0e706d04d03955ed9a64b7cbe36b8b6f11f1cbb2f1d5c8",
+    (5, 2, 2): "885077caed33b9d253c86407ed38022d93345069cbc4f9b0397f2448625e1742",
+    (5, 3, 2): "df1c5dbd558c46dbd7a3b035feedfc2020d5bc435b69c8d2965d30bce37c48d9",
+    (4, 2, 3): "684d439d6869832e0580b98de1b3cfd21676ba16aa150b462a948fd6c15b5494",
+    (3, 1, 3): "840a343de4a8893b21bfffb2986335fc08ef89ef2292b3d83bcc471d62fb4789",
+    (3, 0, 2): "3df3dd2ecad4d9df8cf5dfa78b2d2682cf611d581572aa70421a94eb460c80f7",
+}
+
+
+@pytest.mark.parametrize("n, k, q", ENUM_PAYLOAD_PINS)
+def test_enum_payloads_are_byte_stable(capsys, n, k, q):
+    code, out = run_cli(capsys, ["enum", "--n", str(n), "--k", str(k), "--q", str(q), "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUM_PAYLOAD_PINS[n, k, q]
+
+
+# sha256 of the `graph --export` rows and of their .vertices sidecar by
+# (n, k, q, kind), computed with the enumeration pins above
+EXPORT_PINS = {
+    (4, 2, 2, "full"): (
+        "e0dc58dccbb1a58b75b061dc96cef392bf8f1979714f53262058fd29778c061e",
+        "00c532dc2c466e8bdd95a07a598987f298ddc3fc6edcf08a2c6951025b399ca9",
+    ),
+    (4, 2, 2, "nondegenerate"): (
+        "0177ae79fc7f974ad8241abedf65088f4de83642a805de31e82a1c93de2aa8ec",
+        "b88e8b71f0a5a45690f646f44f5055a7026af1966370fcbc7ab662b558a77258",
+    ),
+    (4, 2, 3, "full"): (
+        "7419fd1c31dc267d373e18ce0ed1850d65ab7eb37d9acab5b54660ae5cc174ef",
+        "b7f67d79e88595ac4b68f70dffa8091dd37007a8ec52b6c7856b4cff7a058de6",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, k, q, kind", EXPORT_PINS)
+def test_graph_exports_are_byte_stable(tmp_path, capsys, n, k, q, kind):
+    export = tmp_path / "g.adj"
+    argv = ["graph", "--n", str(n), "--k", str(k), "--q", str(q), "--export", str(export)]
+    code, _ = run_cli(capsys, argv + (["--nondegenerate"] if kind == "nondegenerate" else []))
+    assert code == 0
+    written = (export.read_bytes(), (tmp_path / "g.adj.vertices").read_bytes())
+    assert tuple(hashlib.sha256(b).hexdigest() for b in written) == EXPORT_PINS[n, k, q, kind]
+
+
 def test_graph_reports_13_vertices(capsys):
     code, out = run_cli(
         capsys, ["graph", "--n", "4", "--k", "2", "--q", "2", "--nondegenerate"]
@@ -280,6 +327,28 @@ def test_graph_past_the_row_cap_exit_2_before_listing(capsys, monkeypatch):
     code = cli.main(["graph", "--n", "11", "--k", "2", "--q", "2"])
     assert code == 2
     assert "GiB cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (
+            ["graph", "--n", "7", "--k", "3", "--q", "3", "--nondegenerate"],
+            "the adjacency rows of a 712656-vertex graph at (7,3,3) would take 59.1 GiB, past the 1 GiB cap",
+        ),
+        (["cliques", "--n", "9", "--k", "2"], "clique enumeration needs at most 2000 vertices, got 43435"),
+    ],
+    ids=["code-graph-rows", "cliques-vertices"],
+)
+def test_capped_runs_exit_2_from_the_vertex_count_before_listing(capsys, monkeypatch, argv, reason):
+    # both were refused only after listing 925,771 and 43,435 subspaces
+    def no_listing(*args, **kwargs):
+        raise AssertionError("the subspaces must not be listed")
+
+    monkeypatch.setattr(grassmann, "enumerate_subspaces", no_listing)
+    code = cli.main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"invalid configuration: {reason}\n"
 
 
 def test_theorem_full_run_exit_0(tmp_path, capsys, certificate4):

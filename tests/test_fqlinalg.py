@@ -120,7 +120,7 @@ def test_enumerate_against_brute_force_oracle():
     assert len(listed) == 35
     assert set(listed) == brute_force_subspaces(4, 2, 2)
     # strictly sorted in the canonical order
-    flat = [s.flat for s in listed]
+    flat = [tuple(c for row in s.rows for c in row) for s in listed]
     assert flat == sorted(flat)
 
 
