@@ -312,7 +312,9 @@ def backtrack(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) ->
     its candidates are yielded straight from its domain.
 
     A dynamic plan (``order=None``, plain only) runs ``_fail_first``: the
-    same maps, in its own order.  An empty source graph has one map, the
+    same maps, in its own order, picking at each node the unplaced vertex
+    with the fewest free candidates, ties to the most source neighbours
+    and then the smaller id.  An empty source graph has one map, the
     empty one, in either plan.
     """
     if not plan.src_adj:
@@ -388,13 +390,15 @@ def backtrack(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) ->
 
 def _fail_first(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) -> Iterator[tuple[int, ...]]:
     """``backtrack`` in a dynamic order (fail-first, Haralick & Elliott
-    1980): each node takes the first unplaced vertex, by id, with at most
-    one free candidate, else the one with the fewest, ties to the smaller
-    id.  The search works on one vertex-indexed list of the domains and
-    one list of the unplaced vertices, in id order.  Assigning v to c
-    makes one pass over the unplaced vertices: it narrows the neighbours
-    of v, read off ``src_adj``, and counts free candidates up to the
-    pick; a narrowed or counted domain with none kills the branch.
+    1980): each node takes the first unplaced vertex with at most one
+    free candidate, else the one with the fewest, where "first" and ties
+    follow one fixed order: the most source neighbours first (Brélaz
+    1979), then the smaller id.  The search works on one vertex-indexed
+    list of the domains and one list of the unplaced vertices, sorted
+    once into that order.  Assigning v to c makes one pass over the
+    unplaced vertices: it narrows the neighbours of v, read off
+    ``src_adj``, and counts free candidates up to the pick; a narrowed or
+    counted domain with none kills the branch.
 
     A pick with one free candidate is a forced step: it is assigned, and
     its pass narrows the working lists in place.  The last unplaced
@@ -411,11 +415,14 @@ def _fail_first(plan: SearchPlan, tgt_adj: tuple[int, ...], domains: list[int]) 
     mapping = [0] * len(src_adj)
     many = max(dom.bit_length() for dom in domains) + 1  # above any count
     stack: list = []
+    # the unplaced vertices, most source neighbours first, then by id, so
+    # a pass's first vertex with the fewest free candidates is the pick
+    rest = [w for _, w in sorted((-row.bit_count(), w) for w, row in enumerate(src_adj))]
     # the working lists, the used targets and the pick, which has
-    # ``least`` free candidates (none: a dead end); the root takes the
-    # fewest, as a vertex with none ends it either way
-    best = min(range(len(src_adj)), key=lambda w: (domains[w].bit_count(), w))
-    work, u, rest, least = list(domains), 0, list(range(len(src_adj))), domains[best].bit_count()
+    # ``least`` free candidates (none: a dead end); the root pass takes
+    # the fewest, as a vertex with none ends it either way
+    best = min(rest, key=lambda w: domains[w].bit_count())
+    work, u, least = list(domains), 0, domains[best].bit_count()
     while True:
         if least == 1 and len(rest) > 1:
             # a forced step: its pass below narrows the lists in place

@@ -339,10 +339,10 @@ def _order_for(ctx: LemmaContext, variant: int) -> Optional[list[int]]:
 
 def _require_exhaustive(n: int) -> None:
     """Exhaustive search finishes only at n = 4.  At n = 5, from full
-    domains, it yields 3072 embeddings at once and then stalls in both
-    of backtrack's orders: none for at least 119 s in the static greedy
-    order, none within 69 CPU s fail-first.  So a run there could never
-    complete."""
+    domains, it stalls in both of backtrack's orders: the static greedy
+    order yields 3072 embeddings at once and then none for at least
+    119 s, and the fail-first order yields none within 120 CPU s.  So a
+    run there could never complete."""
     if n != 4:
         raise ParameterError(f"exhaustive search is supported for n = 4 only, got n = {n}")
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import faulthandler
 import itertools
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,34 @@ import pytest
 from codegraph.fqlinalg import Subspace, parse_subspace
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# the most one test's set-up, call and teardown may take together; the
+# slowest takes about 6 s
+DEADLINE_S = 120
+TERMINAL_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of the terminal's stderr, which a test's captured output
+    # does not reach
+    config.stash[TERMINAL_STDERR] = os.dup(sys.__stderr__.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[TERMINAL_STDERR])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Turn a hung test into a failed run: past DEADLINE_S, faulthandler's
+    watchdog thread writes every thread's traceback to the terminal and
+    ends the process with status 1.  It sends no signal, so SIGALRM and
+    the interval timers stay free for the code under test."""
+    faulthandler.dump_traceback_later(DEADLINE_S, exit=True, file=item.config.stash[TERMINAL_STDERR])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def load_sections(name: str) -> dict[str, list[Subspace]]:

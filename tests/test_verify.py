@@ -38,6 +38,7 @@ from codegraph.verify import (
     _normalize_ids,
     _order_for,
 )
+from row_reads import Reads
 
 
 def swap_automorphism(n: int, i: int, j: int) -> GraphAutomorphism:
@@ -108,6 +109,16 @@ def test_frame_read_off_the_line_table_matches_the_subspace_frame(n):
     assert ctx.pn_in_H is frame.H.contains(from_bits((ctx.p_upper[n - 1],), n))
 
 
+def assert_same_sequence(got, want):
+    """``list(got) == list(want)``, failing with the first index that
+    differs rather than a diff of every item's repr."""
+    got, want = list(got), list(want)
+    # lengths as plain ints, so the failure report never shows the lists
+    n_got, n_want = len(got), len(want)
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(n_got, n_want))
+    assert n_got == n_want == i, f"first difference at index {i}: {got[i : i + 1]} != {want[i : i + 1]}"
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_lines_and_subsets_are_indexed_by_their_vectors(n):
     # a line's index is its packed vector and a subset's is its indicator;
@@ -121,9 +132,9 @@ def test_lines_and_subsets_are_indexed_by_their_vectors(n):
         vec = bits_to_vec(v, n)
         assert ctx.sc_code[v] == tuple(c for c, x in enumerate(ctx.code.vertices) if x.contains_vector(vec)), v
     combos = [list(c) for size in range(1, n) for c in itertools.combinations(range(1, n), size)]
-    assert [axes(I) for I in ctx.subsets] == combos
+    assert_same_sequence((axes(I) for I in ctx.subsets), combos)
     gprime = [p for p in enumerate_subspaces(n, 1, 2) if len(line_support(p)) >= 3]
-    assert [from_bits((v,), n) for v in ctx.gprime_lids] == gprime
+    assert_same_sequence((from_bits((v,), n) for v in ctx.gprime_lids), gprime)
 
 
 def brute_force_s_targets(ctx) -> dict:
@@ -480,6 +491,17 @@ def test_h_appears_in_its_branch(ctx4):
     assert ctx4.h_gid in backtrack(SearchPlan(ctx4.code.adj, order), ctx4.full.adj, domains)
 
 
+def frame_domains(ctx) -> list[int]:
+    """Starting domains that send every code vertex on the star of a frame
+    line Q, P^1..P^(n-1) to the planes through that line."""
+    domains = [(1 << ctx.full.nv) - 1] * ctx.nc
+    for lid in ctx.frame_lids:
+        through = sum(1 << c for c, lines in enumerate(ctx.vline_mask) if (lines >> lid) & 1)
+        for v in ctx.sc_code[lid]:
+            domains[v] &= through
+    return domains
+
+
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_frame_narrowed_fail_first_search_finds_the_identity_and_the_collapse(n):
     # every code vertex on the star of a frame line Q, P^1..P^(n-1) may
@@ -487,13 +509,28 @@ def test_frame_narrowed_fail_first_search_finds_the_identity_and_the_collapse(n)
     # order finds exactly the two maps of the dichotomy (a static order
     # stalls on these domains at n = 7)
     ctx = build_context(n)
-    domains = [(1 << ctx.full.nv) - 1] * ctx.nc
-    for lid in ctx.frame_lids:
-        through = sum(1 << c for c, lines in enumerate(ctx.vline_mask) if (lines >> lid) & 1)
-        for v in ctx.sc_code[lid]:
-            domains[v] &= through
-    found = list(backtrack(SearchPlan(ctx.code.adj, None), ctx.full.adj, domains))
+    vs, cs = [], []
+    found = list(backtrack(SearchPlan(Reads(ctx.code.adj, vs), None), Reads(ctx.full.adj, cs), frame_domains(ctx)))
     assert sorted(found) == sorted([ctx.gid, ctx.h_gid])
+    # and it branches once between them: the tries, read off the rows the
+    # search asks for (the source row of the vertex it assigns, the target
+    # row of its candidate), replayed into paths, where a try of a vertex
+    # already on the path backs up to it and so is that vertex's second
+    # try under one prefix.  There is one such back-up, of a vertex v
+    # between gid[v] and h_gid[v], and both paths reach the last vertex,
+    # so there is no dead end
+    path, twice = [], []
+    for v, c in zip(vs, cs):
+        if v in dict(path):
+            assert len(path) == ctx.nc - 1
+            while path[-1][0] != v:
+                path.pop()
+            twice.append((v, {path.pop()[1], c}))
+        path.append((v, c))
+    assert len(path) == ctx.nc - 1
+    assert len(twice) == 1
+    v, targets = twice[0]
+    assert targets == {ctx.gid[v], ctx.h_gid[v]} and len(targets) == 2
 
 
 def test_frame_narrowed_fail_first_search_keeps_no_snapshot_per_forced_step():
@@ -501,11 +538,7 @@ def test_frame_narrowed_fail_first_search_keeps_no_snapshot_per_forced_step():
     # before its one choice point; a snapshot of every domain at each of
     # them peaked at 4.7 MiB, one snapshot per choice point at 0.3 MiB
     ctx = build_context(7)
-    domains = [(1 << ctx.full.nv) - 1] * ctx.nc
-    for lid in ctx.frame_lids:
-        through = sum(1 << c for c, lines in enumerate(ctx.vline_mask) if (lines >> lid) & 1)
-        for v in ctx.sc_code[lid]:
-            domains[v] &= through
+    domains = frame_domains(ctx)
     plan = SearchPlan(ctx.code.adj, None)
     tracemalloc.start()
     try:
