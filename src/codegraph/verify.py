@@ -14,6 +14,7 @@ certificate instead of failing silently.
 
 from __future__ import annotations
 
+import copy
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -243,6 +244,11 @@ class LemmaContext:
                 if orth[orth[u]] != u or sum(1 << orth[w] for w in mask_ids(row)) != adj[orth[u]]:
                     raise Falsified(f"the orthocomplement is no automorphism at {self.full.vertices[u].inline_text()}")
 
+        # the invariant chain's reports on the frame tuples gid and h_gid,
+        # filled by the chain on first use (see ``lemma_chain``); a shallow
+        # copy shares them, so a copy with altered tables needs its own
+        self.chain_reports: dict[tuple[int, ...], dict] = {}
+
     def _planes_under(self, img: list[int], vids: Iterable[int]) -> tuple[int, ...]:
         """Images of the planes ``vids`` under the injective vector map
         ``img``: the plane spanned by basis rows r1 and r2 goes to the
@@ -415,6 +421,8 @@ def _normalize_ids(ctx: LemmaContext, images: tuple[int, ...]) -> _Normalization
     results rather than ordinary data.
     """
     vline_mask, f1 = ctx.vline_mask, images
+    # Q's star is the A class, frame_lids[0]; its fold is g1[0] unless the
+    # images are orthocomplemented, which moves every center
     common = ctx.all_lines_mask
     for v in ctx.all_A_vids:
         common &= vline_mask[images[v]]
@@ -424,8 +432,11 @@ def _normalize_ids(ctx: LemmaContext, images: tuple[int, ...]) -> _Normalization
             raise Falsified("image of the maximal star is not a star")
         # the A images span a 3-space T (a top) iff their orthocomplements share one line, T⊥
         f1 = tuple([ctx.orth_perm[c] for c in images])
-    g1 = []
-    for i, lid in enumerate(ctx.frame_lids):
+        g1 = []
+    else:
+        g1 = [common.bit_length() - 1]
+    for i in range(len(g1), ctx.n):
+        lid = ctx.frame_lids[i]
         common = ctx.all_lines_mask
         for v in ctx.sc_code[lid]:
             common &= vline_mask[f1[v]]
@@ -497,8 +508,45 @@ def lemma_chain(ctx: LemmaContext, emb: EmbeddingMap) -> dict:
 
     Failures are report content, never exceptions: the caller decides
     whether a failed check falsifies a run.
+
+    The chain reads nothing but ``emb.images`` and the context's fixed
+    tables, so equal tuples get equal reports.  The context keeps the
+    report of a tuple whose endgame matched, i.e. ``ctx.gid`` or
+    ``ctx.h_gid``, the only two normalized maps the theorem allows, and
+    later calls on that tuple reuse it.  Any other tuple is a would-be
+    counterexample: its chain runs on every call, so its witnesses are
+    always its own, and the memo never holds more than two reports.
+    Every call returns a report the caller owns; mutating it leaves the
+    kept one as it was.
     """
-    fp = emb.images
+    report = _chain_report(ctx, emb.images)
+    # a kept report goes out as a copy; a report kept nowhere is the caller's already
+    return _copy_report(report) if report["endgame_kind"] is not None else report
+
+
+def _chain_report(ctx: LemmaContext, fp: tuple[int, ...]) -> dict:
+    """The chain's report on the normalized images ``fp``, filling the
+    context's memo on a frame tuple's first use.  A kept report is shared,
+    so a caller of this function must not mutate what it returns."""
+    report = ctx.chain_reports.get(fp)
+    if report is None:
+        report = _run_chain(ctx, fp)
+        if report["endgame_kind"] is not None:
+            ctx.chain_reports[fp] = report
+    return report
+
+
+def _copy_report(report: dict) -> dict:
+    """A copy of a chain report that shares no mutable part with it."""
+    checks = {
+        name: {"passed": res["passed"], "witness": None if res["witness"] is None else copy.deepcopy(res["witness"])}
+        for name, res in report["checks"].items()
+    }
+    return {**report, "checks": checks}
+
+
+def _run_chain(ctx: LemmaContext, fp: tuple[int, ...]) -> dict:
+    """The invariant chain on the normalized images ``fp``, with no memo."""
     gid = ctx.gid
     masks = [ctx.vline_mask[c] for c in fp]
     checks: dict[str, dict] = {}
@@ -710,15 +758,13 @@ def _certificate(
         # a constant: the byte-stable payload and perfbench's oracle keep "complete": true
         "complete": True,
     }
-    # Invariant-chain reports by normalized tuple, each with its number of
-    # uses.  lemma_chain reads only ctx tables and emb.images, so equal
-    # tuples give equal reports, and adding a report's checks once per use
-    # after the loop gives the same totals as adding them per embedding.
-    # A report is kept only when its endgame matched, i.e. the tuple is
-    # ctx.gid or ctx.h_gid, so at most two are held; any other tuple is a
-    # would-be counterexample, gets the full chain every time and is
-    # tallied at once.
-    reports: dict[tuple[int, ...], list] = {}
+    # The number of embeddings that normalize to each frame tuple.  The
+    # context keeps one chain report per frame tuple (see lemma_chain),
+    # and adding its checks once per use after the loop gives the same
+    # totals as adding them per embedding, with no copy per embedding.
+    # Any other tuple is a would-be counterexample: its chain runs every
+    # time, and its report is tallied at once.
+    uses: dict[tuple[int, ...], int] = {}
     numbers = count()
     t0 = time.monotonic()
     dump = open(witness_dump, "w", encoding="utf-8") if witness_dump is not None else nullcontext()
@@ -732,17 +778,12 @@ def _certificate(
             tallies["normalize"]["fail" if norm is None else "pass"] += 1
             kind_endgame = None
             if norm is not None:
-                entry = reports.get(norm[0])
-                if entry is not None:
-                    entry[1] += 1
-                    report = entry[0]
-                else:
-                    report = lemma_chain(ctx, EmbeddingMap(ctx.n, norm[0]))
-                    if report["endgame_kind"] is not None:
-                        reports[norm[0]] = [report, 1]
-                    else:
-                        _tally_checks(tallies, report, 1)
+                report = _chain_report(ctx, norm[0])
                 kind_endgame = report["endgame_kind"]
+                if kind_endgame is None:
+                    _tally_checks(tallies, report, 1)
+                else:
+                    uses[norm[0]] = uses.get(norm[0], 0) + 1
             kind, wcols, dual = _classify_ids(ctx, images, norm)
             cert[kind] += 1
             # the two routes must agree: constructive verdict vs endgame
@@ -755,8 +796,8 @@ def _certificate(
                 # wcols already reproduced every image, so it is invertible
                 wtext = "-" if wcols is None else matrix_inline_text(wcols, dual)
                 fh.write(f"{next(numbers)} {kind} {wtext}\n")
-    for report, uses in reports.values():
-        _tally_checks(tallies, report, uses)
+    for fp, k in uses.items():
+        _tally_checks(tallies, ctx.chain_reports[fp], k)
     cert["wall_ms"] = int((time.monotonic() - t0) * 1000)
     return cert
 

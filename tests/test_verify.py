@@ -38,7 +38,7 @@ from codegraph.verify import (
     _normalize_ids,
     _order_for,
 )
-from row_reads import Reads
+from row_reads import ReadBudget, Reads
 
 
 def swap_automorphism(n: int, i: int, j: int) -> GraphAutomorphism:
@@ -992,8 +992,10 @@ def chain_report_lines(ctx, images_list):
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_chain_reports_and_point_maps_are_pinned(n):
     # the seeded chain inputs, then unnormalized restrictions and collapse
-    # composites, whose stars keep a centre that is not their own line
-    ctx = build_context(n)
+    # composites, whose stars keep a centre that is not their own line;
+    # a fresh context, so the first pass fills the memo and the second
+    # reads it
+    ctx = verify.LemmaContext(n)
     rng = random.Random(1300 + n)
     images_list = seeded_chain_inputs(ctx, rng, 20)
     for k in range(6):
@@ -1001,11 +1003,47 @@ def test_chain_reports_and_point_maps_are_pinned(n):
         while rank_bits(cols) != n:
             cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
         images_list.append(ctx.map_images(cols, ctx.gid if k % 2 else ctx.h_gid))
+    assert ctx.chain_reports == {}
     lines = list(chain_report_lines(ctx, images_list))
     # witnesses of failed checks and both point-map outcomes are in the pin
     assert any('"passed": false, "witness": {"line": "' in line and '"image": "' in line for line in lines)
     assert any(line.endswith('"Falsified"]') for line in lines) and any(line.endswith("]]]") for line in lines)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CHAIN_REPORT_PINS[n]
+    assert set(ctx.chain_reports) == {ctx.gid, ctx.h_gid}
+    for fp in (ctx.gid, ctx.h_gid):
+        scramble(lemma_chain(ctx, EmbeddingMap(n, fp)))
+    assert list(chain_report_lines(ctx, images_list)) == lines
+
+
+def scramble(report):
+    """Mutate a chain report at every level: flip each check, rewrite each
+    witness in place, replace one check and drop the endgame's kind."""
+    for res in report["checks"].values():
+        res["passed"] = not res["passed"]
+        if res["witness"] is not None:
+            res["witness"].clear()
+            res["witness"]["image"] = "mutated"
+    report["checks"]["eq1"] = {"passed": False, "witness": {"axis": 1}}
+    report["endgame_kind"] = None
+
+
+def test_a_fresh_context_keeps_no_chain_report():
+    assert verify.LemmaContext(4).chain_reports == {}
+
+
+@pytest.mark.parametrize("frame", ["gid", "h_gid"])
+def test_mutating_a_chain_report_leaves_the_next_one_as_it_was(frame):
+    # fault: the context misreads whether P^n lies in H, so the collapse
+    # map's kept report fails g1_pn and has a witness to mutate
+    ctx = verify.LemmaContext(4)
+    ctx.pn_in_H = not ctx.pn_in_H
+    emb = EmbeddingMap(4, getattr(ctx, frame))
+    first = lemma_chain(ctx, emb)
+    want = json.dumps(first)
+    assert (frame == "h_gid") is (first["checks"]["g1_pn"]["witness"] is not None)
+    scramble(first)
+    assert json.dumps(lemma_chain(ctx, emb)) == want
+    assert json.dumps(ctx.chain_reports[emb.images]) == want
 
 
 def test_lemma5_hypothesis_fails_everywhere_for_h(ctx4):
@@ -1242,8 +1280,22 @@ def test_n5_constructive_classification():
     assert rep["pn_in_H"] is True
 
 
-def test_n5_partial_run_smoke():
-    # the 3072 embeddings the n = 5 search yields before it stalls
+# the target rows the n = 5 search reads up to its 3072nd yield are
+# 214,007; the budget leaves 40% of headroom over that
+N5_PREFIX_READ_BUDGET = 300_000
+
+
+def test_n5_partial_run_smoke(monkeypatch):
+    # the 3072 embeddings the n = 5 search yields before it stalls; the
+    # search's target rows are read through a budget, so a fault that
+    # moves the stall before them fails here in about a second instead
+    # of hanging the run
+    real_backtrack = verify.backtrack
+
+    def budgeted(plan, tgt_adj, domains):
+        return real_backtrack(plan, Reads(tgt_adj, ReadBudget(N5_PREFIX_READ_BUDGET)), domains)
+
+    monkeypatch.setattr(verify, "backtrack", budgeted)
     ctx5 = build_context(5)
     stream = itertools.islice(verify._embeddings(ctx5, _order_for(ctx5, 0)), 3072)
     res = verify._certificate(ctx5, stream, {}, None)
@@ -1317,7 +1369,7 @@ def test_certificate_invariant_across_orders(certificate4, monkeypatch):
     assert other_order == base
 
 
-# -- the invariant-chain memo inside the certification loop -----------------
+# -- the invariant-chain memo and the certification loop ---------------------
 
 
 # at n = 4 the stream's first 2304 embeddings are those that send the
@@ -1335,20 +1387,30 @@ def run_root_branch(ctx):
     return verify._certificate(ctx, root_branch(ctx), {}, None)
 
 
-def counting_lemma_chain(monkeypatch, alter=None):
+@pytest.fixture
+def cold_ctx4():
+    """A fresh n=4 context, whose chain memo starts empty."""
+    return verify.LemmaContext(4)
+
+
+def counting_chain_runs(monkeypatch, alter=None):
+    """Log the tuple of every run of the invariant chain itself (memo hits
+    are not runs); ``alter`` may rewrite the report a run returns."""
     calls = []
+    real = verify._run_chain
 
-    def wrapper(ctx, emb):
-        calls.append(emb.images)
-        report = lemma_chain(ctx, emb)
-        return report if alter is None else alter(ctx, emb, report)
+    def wrapper(ctx, fp):
+        calls.append(fp)
+        report = real(ctx, fp)
+        return report if alter is None else alter(ctx, fp, report)
 
-    monkeypatch.setattr(verify, "lemma_chain", wrapper)
+    monkeypatch.setattr(verify, "_run_chain", wrapper)
     return calls
 
 
-def test_memo_runs_the_chain_once_per_tuple_and_tallies_every_embedding(ctx4, monkeypatch):
-    calls = counting_lemma_chain(monkeypatch)
+def test_memo_runs_the_chain_once_per_tuple_and_tallies_every_embedding(cold_ctx4, monkeypatch):
+    ctx4 = cold_ctx4
+    calls = counting_chain_runs(monkeypatch)
     res = run_root_branch(ctx4)
     assert len(calls) == 2
     assert sorted(calls) == sorted([ctx4.gid, ctx4.h_gid])
@@ -1360,19 +1422,19 @@ def test_memo_runs_the_chain_once_per_tuple_and_tallies_every_embedding(ctx4, mo
     assert falsified(res) is False
 
 
-def test_memo_counts_a_cached_failure_once_per_embedding(ctx4, monkeypatch):
+def test_memo_counts_a_cached_failure_once_per_embedding(cold_ctx4, monkeypatch):
     # fault: the chain rejects the collapse map's endgame and reports the
     # wrong kind, so the constructive and endgame routes disagree on every
     # exceptional embedding; the report is still cached
-    def fail_endgame_for_h(ctx, emb, report):
-        if emb.images != ctx.h_gid:
+    def fail_endgame_for_h(ctx, fp, report):
+        if fp != ctx.h_gid:
             return report
         checks = dict(report["checks"])
         checks["endgame"] = {"passed": False, "witness": None}
         return {**report, "checks": checks, "endgame_kind": "identity"}
 
-    calls = counting_lemma_chain(monkeypatch, fail_endgame_for_h)
-    res = run_root_branch(ctx4)
+    calls = counting_chain_runs(monkeypatch, fail_endgame_for_h)
+    res = run_root_branch(cold_ctx4)
     assert len(calls) == 2
     exceptional = res["exceptional"]
     assert exceptional == 1152
@@ -1393,7 +1455,8 @@ def swapped_gid(ctx, images):
     [lambda ctx, images: images, swapped_gid],
     ids=["raw-images", "one-repeated-tuple"],
 )
-def test_memo_reruns_the_chain_for_every_would_be_counterexample(ctx4, monkeypatch, fault):
+def test_memo_reruns_the_chain_for_every_would_be_counterexample(cold_ctx4, monkeypatch, fault):
+    ctx4 = cold_ctx4
     identity_cols = tuple(1 << t for t in range(ctx4.n))
     # fault: normalization hands back tuples that are mostly neither the
     # identity nor the collapse map
@@ -1402,7 +1465,7 @@ def test_memo_reruns_the_chain_for_every_would_be_counterexample(ctx4, monkeypat
         "_normalize_ids",
         lambda ctx, images: (fault(ctx, images), identity_cols, identity_cols, False),
     )
-    calls = counting_lemma_chain(monkeypatch)
+    calls = counting_chain_runs(monkeypatch)
     res = run_root_branch(ctx4)
     stream = [fault(ctx4, images) for images in root_branch(ctx4)]
     frame_maps = {ctx4.gid, ctx4.h_gid}
@@ -1411,6 +1474,8 @@ def test_memo_reruns_the_chain_for_every_would_be_counterexample(ctx4, monkeypat
     assert len(calls) == others + len(frame_maps & set(stream))
     assert res["lemma_chain"]["endgame"]["fail"] == others
     assert falsified(res) is True
+    # the would-be counterexamples leave nothing behind in the memo
+    assert set(ctx4.chain_reports) == frame_maps & set(stream)
 
 
 def test_one_normalization_per_embedding(ctx4, monkeypatch):
